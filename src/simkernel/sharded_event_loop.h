@@ -33,16 +33,18 @@
 // safe because no event exists in the skipped span, and it makes idle
 // stretches free.
 //
-// Adaptive epochs (Options::adaptive_epochs): a deterministic EpochController
-// widens or narrows the *effective* window between epochs, from committed
-// simulation state only — cross-shard message rate, idle-leap frequency, and
-// event density over a sliding window of epochs. Wider windows amortize the
-// barrier over more events; narrower windows protect the bounded outboxes
-// under cross-shard pressure. The clamp invariant that keeps the lookahead
-// argument intact: the window never exceeds the minimum cross-shard latency
-// registered via RegisterCrossLatency (and never drops below a floor). All
-// controller inputs are byte-identical across host thread counts, so the
-// window schedule — and therefore the run — still is too.
+// Epoch control: a deterministic EpochController sets the *effective* window
+// between epochs, from committed simulation state only — cross-shard message
+// rate, idle-leap frequency, and event density over a sliding window of
+// epochs. Wider windows amortize the barrier over more events; narrower
+// windows protect the bounded outboxes under cross-shard pressure. The window
+// moves within [floor, ceiling]: the floor is Options::min_epoch_ns, the
+// ceiling the minimum cross-shard latency registered via RegisterCrossLatency
+// — the clamp that keeps the lookahead argument intact. Both default to
+// epoch_ns, and floor == ceiling == epoch_ns is what static epochs are: the
+// controller runs but can never move the window. All controller inputs are
+// byte-identical across host thread counts, so the window schedule — and
+// therefore the run — still is too.
 //
 // With K=1 the engine degrades to a zero-overhead forwarder around the plain
 // EventLoop — benchmarks comparing "sharded vs unsharded" compare against
@@ -56,6 +58,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -68,12 +71,12 @@
 namespace enoki {
 
 // Deterministic per-epoch window controller. Fed one sample per *committed*
-// epoch; every `period` samples it makes one decision:
+// epoch; every kPeriod samples it makes one decision:
 //
 //         ┌─────────────────────────────────────────────────┐
 //         │                   HOLD (start)                  │
 //         └─────────────────────────────────────────────────┘
-//    msgs/epoch ≥ slots/4 │        │ leaps ≥ period/2  │ dense & headroom
+//    msgs/epoch ≥ slots/4 │        │ leaps ≥ kPeriod/2 │ dense & headroom
 //            ▼            │        ▼                   ▼
 //         NARROW (w /= 2) │      HOLD          WIDEN (w *= 2)
 //
@@ -84,7 +87,7 @@ namespace enoki {
 //  2. HOLD when idle-leap epochs dominate the window (≥ half): the engine is
 //     leaping over idle spans, so window width is already irrelevant and
 //     drifting it would only add noise.
-//  3. WIDEN when the epochs are dense (events/epoch ≥ widen_density) and
+//  3. WIDEN when the epochs are dense (events/epoch ≥ kWidenDensity) and
 //     cross traffic has ample headroom (msgs/epoch ≤ slots/8): double the
 //     window (clamped to `ceiling`) to amortize the barrier over more events.
 //
@@ -94,16 +97,17 @@ namespace enoki {
 // minimum registered cross-shard latency.
 class EpochController {
  public:
+  static constexpr uint64_t kPeriod = 8;         // epochs per decision
+  static constexpr uint64_t kWidenDensity = 16;  // events/epoch needed to WIDEN
+
   struct Config {
     Duration floor = 0;
     Duration ceiling = 0;
-    int period = 8;                // epochs per decision
-    size_t mailbox_slots = 4096;   // NARROW threshold base
-    uint64_t widen_density = 16;   // events/epoch needed to WIDEN
+    size_t mailbox_slots = 4096;  // NARROW threshold base
   };
 
   explicit EpochController(Config cfg) : cfg_(cfg) {
-    ENOKI_CHECK(cfg.floor > 0 && cfg.ceiling >= cfg.floor && cfg.period > 0);
+    ENOKI_CHECK(cfg.floor > 0 && cfg.ceiling >= cfg.floor);
   }
 
   // Records one committed epoch and returns the window for the next one.
@@ -111,13 +115,12 @@ class EpochController {
     msgs_ += committed_msgs;
     events_ += events;
     leaps_ += leapt ? 1 : 0;
-    if (++samples_ < cfg_.period) {
+    if (++samples_ < kPeriod) {
       return Clamp(window);
     }
-    const uint64_t period = static_cast<uint64_t>(cfg_.period);
-    const uint64_t avg_msgs = msgs_ / period;
-    const uint64_t avg_events = events_ / period;
-    const bool leap_dominated = leaps_ * 2 >= period;
+    const uint64_t avg_msgs = msgs_ / kPeriod;
+    const uint64_t avg_events = events_ / kPeriod;
+    const bool leap_dominated = leaps_ * 2 >= kPeriod;
     msgs_ = events_ = leaps_ = 0;
     samples_ = 0;
     if (avg_msgs * 4 >= cfg_.mailbox_slots) {
@@ -128,7 +131,7 @@ class EpochController {
     if (leap_dominated) {
       return Clamp(window);
     }
-    if (avg_events >= cfg_.widen_density && avg_msgs * 8 <= cfg_.mailbox_slots) {
+    if (avg_events >= kWidenDensity && avg_msgs * 8 <= cfg_.mailbox_slots) {
       const Duration w = Clamp(window * 2);
       widens_ += (w != window) ? 1 : 0;
       return w;
@@ -146,7 +149,7 @@ class EpochController {
   uint64_t msgs_ = 0;
   uint64_t events_ = 0;
   uint64_t leaps_ = 0;
-  int samples_ = 0;
+  uint64_t samples_ = 0;
   uint64_t widens_ = 0;
   uint64_t narrows_ = 0;
 };
@@ -155,9 +158,9 @@ class ShardedEventLoop {
  public:
   struct Options {
     int nshards = 1;
-    // Lookahead: epoch width and the minimum cross-shard latency. 20 us is
-    // several times the simulated IPI + idle-exit cost, so remote wakeups
-    // modelled through PostCross stay physically plausible.
+    // Lookahead: initial epoch width and the minimum cross-shard latency.
+    // 20 us is several times the simulated IPI + idle-exit cost, so remote
+    // wakeups modelled through PostCross stay physically plausible.
     Duration epoch_ns = 20'000;
     // Host threads. 0 = take ENOKI_SHARD_THREADS from the environment
     // (default 1). Clamped to [1, nshards]. Thread count never affects
@@ -167,30 +170,16 @@ class ShardedEventLoop {
     // two; overflow is a checked error, not a drop — dropping would make
     // output depend on timing.
     size_t mailbox_slots = RingBuffer<int>::CheckedCapacity<4096>();
-    // Coalesce consecutive same-(deliver_time, src) cross-shard messages
-    // into one mailbox entry, expanded at commit (prof_batched_msgs counts
-    // the riders). Purely a commit-cost optimization: the committed order,
-    // MergeFingerprint, and run output are byte-identical either way (the
-    // determinism sweep asserts this). Off = every message is a batch of 1
-    // through the same code path.
-    bool batched_commit = true;
-    // Adaptive epochs: let an EpochController retune the effective window
-    // between epochs. epoch_ns becomes the *initial* window; the controller
-    // moves it within [min_epoch_ns, min registered cross-shard latency].
-    bool adaptive_epochs = false;
-    // Narrowing floor. 0 = epoch_ns / 4 (at least 1 ns).
+    // Floor the epoch controller may narrow the window to. 0 = epoch_ns: the
+    // window never narrows. (The ceiling is the smallest latency passed to
+    // RegisterCrossLatency; with none registered the window never widens.)
     Duration min_epoch_ns = 0;
-    // Optional widening cap below the registered-latency clamp. 0 = clamp
-    // only by the minimum latency passed to RegisterCrossLatency (with no
-    // registration the window cannot widen past epoch_ns at all).
-    Duration max_epoch_ns = 0;
-    // Epochs per controller decision (sliding stats window).
-    int controller_period = 8;
   };
 
   explicit ShardedEventLoop(Options opts) : opts_(opts), window_(opts.epoch_ns) {
     ENOKI_CHECK(opts.nshards >= 1);
     ENOKI_CHECK(opts.epoch_ns > 0);
+    ENOKI_CHECK(opts.min_epoch_ns <= opts.epoch_ns);
     threads_ = ResolveThreads(opts.threads, opts.nshards);
     shards_.reserve(static_cast<size_t>(opts.nshards));
     for (int i = 0; i < opts.nshards; ++i) {
@@ -219,8 +208,7 @@ class ShardedEventLoop {
   int nshards() const { return opts_.nshards; }
   int threads() const { return threads_; }
   Duration epoch_ns() const { return opts_.epoch_ns; }
-  // Current effective window (== epoch_ns until an adaptive controller moves
-  // it).
+  // Current effective window (== epoch_ns until the controller moves it).
   Duration window_ns() const { return window_; }
   EventLoop& shard(int i) { return shards_[static_cast<size_t>(i)]->loop; }
 
@@ -229,10 +217,10 @@ class ShardedEventLoop {
 
   // Declares that every future PostCross through this engine carries at
   // least `latency`. Must be called before the first epoch runs. The
-  // adaptive controller may then widen the window up to the smallest
-  // registered latency — the clamp that keeps the lookahead argument (no
-  // message lands inside the window that sent it) intact. Static mode
-  // ignores registrations; the fixed epoch_ns bound already holds.
+  // controller may then widen the window up to the smallest registered
+  // latency — the clamp that keeps the lookahead argument (no message lands
+  // inside the window that sent it) intact. Without a registration the
+  // window stays at or below epoch_ns.
   void RegisterCrossLatency(Duration latency) {
     ENOKI_CHECK_MSG(prof_.epochs == 0, "RegisterCrossLatency after the engine started");
     ENOKI_CHECK_MSG(latency >= opts_.epoch_ns,
@@ -244,7 +232,7 @@ class ShardedEventLoop {
   // across hosts and thread counts; *_ns fields are wall-clock.
   ShardProfile profile() const {
     ShardProfile p = prof_;
-    if (controller_ != nullptr) {
+    if (controller_) {
       p.widens = controller_->widens();
       p.narrows = controller_->narrows();
     }
@@ -263,9 +251,13 @@ class ShardedEventLoop {
   // Sends work across a shard boundary: `fn` runs on shard `dst`'s loop at
   // (send time + latency). Must be called from shard `src`'s execution
   // context (its callbacks), which is single-threaded per epoch. Cross-shard
-  // latency must be >= epoch_ns — that inequality is the entire correctness
-  // argument for running shards in parallel. Same-shard posts have no floor
-  // and schedule directly.
+  // latency must be >= the window ceiling — that inequality is the entire
+  // correctness argument for running shards in parallel. Same-shard posts
+  // have no floor and schedule directly.
+  //
+  // Consecutive sends with the same deliver time share one mailbox entry,
+  // expanded at commit (prof batched_msgs counts the riders); the committed
+  // order is the per-message one either way (see CommitMailboxes).
   void PostCross(int src, int dst, Duration latency, std::function<void()> fn) {
     ENOKI_CHECK(src >= 0 && src < opts_.nshards && dst >= 0 && dst < opts_.nshards);
     Shard& s = *shards_[static_cast<size_t>(src)];
@@ -273,23 +265,19 @@ class ShardedEventLoop {
       s.loop.ScheduleAfter(latency, std::move(fn));
       return;
     }
-    ENOKI_CHECK_MSG(latency >= LookaheadBound(),
+    ENOKI_CHECK_MSG(latency >= Ceiling(),
                     "cross-shard latency below the epoch lookahead bound "
-                    "(adaptive mode: register the smallest latency in use)");
-    if (opts_.nshards == 1) {
-      s.loop.ScheduleAfter(latency, std::move(fn));
-      return;
-    }
+                    "(register the smallest latency in use)");
     const Time deliver_at = s.loop.now() + latency;
     const uint64_t seq = ++s.out_seq;
     ENOKI_CHECK_MSG(s.subs.size() < opts_.mailbox_slots,
                     "shard outbox overflow (bounded mailbox)");
     s.subs.push_back(CrossSub{dst, std::move(fn)});
-    // Batched commit: a message sent at the same instant as the open batch
-    // rides it — its seq is the next in the batch's contiguous run by
-    // construction (out_seq increments once per send, and the batch has
-    // absorbed every send since it opened).
-    if (opts_.batched_commit && s.open.count > 0 && s.open.deliver_at == deliver_at) {
+    // A message with the same deliver time as the open batch rides it — its
+    // seq is the next in the batch's contiguous run by construction (out_seq
+    // increments once per send, and the batch has absorbed every send since
+    // it opened).
+    if (s.open.count > 0 && s.open.deliver_at == deliver_at) {
       ++s.open.count;
       return;
     }
@@ -358,8 +346,8 @@ class ShardedEventLoop {
     return n;
   }
 
-  uint64_t cross_messages() const { return cross_messages_; }
-  uint64_t epochs() const { return epochs_; }
+  uint64_t cross_messages() const { return prof_.commit_msgs; }
+  uint64_t epochs() const { return prof_.epochs; }
 
   // FNV-1a digest of the committed merge order: every cross-shard message's
   // (deliver_time, src, dst, seq) in commit order. Identical across thread
@@ -392,9 +380,7 @@ class ShardedEventLoop {
 
   // Batch header travelling through the SPSC outbox: `count` sub-messages
   // sharing one (deliver_at, src), with contiguous seqs starting at
-  // first_seq and payloads at subs[sub_base .. sub_base+count). With
-  // batching off every header has count == 1, so the unbatched engine is
-  // the same code path, not a second one.
+  // first_seq and payloads at subs[sub_base .. sub_base+count).
   struct CrossMsg {
     Time deliver_at = 0;
     int src = 0;
@@ -427,26 +413,11 @@ class ShardedEventLoop {
   }
 
   // Upper bound the effective window may ever reach — the lookahead clamp
-  // PostCross latencies are checked against. Static mode: the fixed
-  // epoch_ns. Adaptive mode: the smallest registered cross-shard latency
-  // (optionally capped by max_epoch_ns); with nothing registered the window
-  // cannot widen, so the bound stays epoch_ns.
-  Duration LookaheadBound() const {
-    if (!opts_.adaptive_epochs) {
-      return opts_.epoch_ns;
-    }
-    Duration c = min_cross_latency_;
-    if (opts_.max_epoch_ns > 0) {
-      c = std::min(c, opts_.max_epoch_ns);
-    }
-    return c == kTimeMax ? opts_.epoch_ns : std::max(c, opts_.epoch_ns);
-  }
-
-  Duration WindowFloor() const {
-    if (opts_.min_epoch_ns > 0) {
-      return std::min(opts_.min_epoch_ns, opts_.epoch_ns);
-    }
-    return std::max<Duration>(opts_.epoch_ns / 4, 1);
+  // PostCross latencies are checked against: the smallest registered
+  // cross-shard latency (never below epoch_ns), or epoch_ns with nothing
+  // registered.
+  Duration Ceiling() const {
+    return min_cross_latency_ == kTimeMax ? opts_.epoch_ns : min_cross_latency_;
   }
 
   // Next horizon. The window must be at most window_ wide so the lookahead
@@ -463,21 +434,18 @@ class ShardedEventLoop {
     return std::min(start + window_, deadline);
   }
 
+  // With one thread there are no workers: the calling thread runs every
+  // shard, in index order, and the barrier wait falls through.
   void RunEpoch(Time target, bool leapt) {
-    ++epochs_;
     ++prof_.epochs;
     prof_.idle_leaps += leapt ? 1 : 0;
     const uint64_t events_before = events_executed();
-    if (threads_ == 1) {
-      for (auto& sh : shards_) {
-        sh->loop.RunUntil(target);
-      }
-    } else {
-      target_ = target;
-      // Release on the generation bump publishes target_ (and all prior
-      // shard state) to workers; their acquire load pairs with it.
-      epoch_gen_.fetch_add(1, std::memory_order_release);
-      RunOwnedShards(/*worker=*/0, target);
+    target_ = target;
+    // Release on the generation bump publishes target_ (and all prior shard
+    // state) to workers; their acquire load pairs with it.
+    epoch_gen_.fetch_add(1, std::memory_order_release);
+    RunOwnedShards(/*worker=*/0, target);
+    {
       // Workers' release increments of done_workers_ pair with this acquire
       // loop: once observed, all their shard mutations and outbox pushes
       // happen-before the merge below.
@@ -489,21 +457,14 @@ class ShardedEventLoop {
     }
     const uint64_t committed = CommitMailboxes(target);
     now_ = target;
-    if (opts_.adaptive_epochs) {
-      if (controller_ == nullptr) {
-        EpochController::Config cc;
-        cc.floor = WindowFloor();
-        cc.ceiling = LookaheadBound();
-        cc.period = opts_.controller_period;
-        cc.mailbox_slots = opts_.mailbox_slots;
-        controller_ = std::make_unique<EpochController>(cc);
-        window_ = std::clamp(window_, cc.floor, cc.ceiling);
-      }
-      // Committed counts only: identical for every host thread count, so
-      // the window schedule (and the run) stays byte-identical too.
-      window_ = controller_->OnEpoch(window_, committed, events_executed() - events_before,
-                                     leapt);
+    if (!controller_) {
+      // Built at the first epoch: registrations are closed from here on.
+      const Duration floor = opts_.min_epoch_ns > 0 ? opts_.min_epoch_ns : opts_.epoch_ns;
+      controller_.emplace(EpochController::Config{floor, Ceiling(), opts_.mailbox_slots});
     }
+    // Committed counts only: identical for every host thread count, so the
+    // window schedule (and the run) stays byte-identical too.
+    window_ = controller_->OnEpoch(window_, committed, events_executed() - events_before, leapt);
   }
 
   void RunOwnedShards(int worker, Time target) {
@@ -542,8 +503,8 @@ class ShardedEventLoop {
   // disjoint and the earlier first_seq's entire run precedes the later's
   // (seqs are assigned monotonically per src). Expansion therefore emits the
   // identical sequence a per-message sort would, and the fingerprint mixes
-  // each (deliver_at, src, dst, seq) individually — byte-for-byte the
-  // unbatched digest.
+  // each (deliver_at, src, dst, seq) individually — byte-for-byte the digest
+  // of one entry per message.
   uint64_t CommitMailboxes(Time target) {
     ProfTimer commit_timer(&prof_.commit_ns);
     scratch_.clear();
@@ -580,7 +541,6 @@ class ShardedEventLoop {
         CrossSub& sub = src_shard.subs[m.sub_base + i];
         const uint64_t seq = m.first_seq + i;
         merge_hash_ = MixMerge(merge_hash_, m.deliver_at, m.src, sub.dst, seq);
-        ++cross_messages_;
         if (merge_observer_) {
           merge_observer_(m.deliver_at, m.src, sub.dst, seq);
         }
@@ -614,12 +574,10 @@ class ShardedEventLoop {
   const Options opts_;
   int threads_ = 1;
   Time now_ = 0;
-  uint64_t epochs_ = 0;
-  uint64_t cross_messages_ = 0;
   uint64_t merge_hash_ = 14695981039346656037ull;
   Duration window_;  // effective epoch width (moved by the controller)
   Duration min_cross_latency_ = kTimeMax;  // smallest RegisterCrossLatency
-  std::unique_ptr<EpochController> controller_;  // built lazily, adaptive only
+  std::optional<EpochController> controller_;  // built at the first epoch
   ShardProfile prof_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<CrossMsg> scratch_;  // reused merge buffer

@@ -21,6 +21,10 @@
 // This makes "sharded vs unsharded" in bench_simperf a true engine
 // comparison: same tenants, same service processes, same handoff topology.
 //
+// Epochs: by default the engine's window is pinned at epoch_ns (static
+// epochs); adaptive_epochs widens the epoch controller's range to
+// [epoch_ns / 4, remote_latency].
+//
 // Allocation discipline (arena-per-run): each group's request queue is a
 // fixed-capacity ring drawn from a per-group Arena; steady state performs
 // zero heap allocations — cross-shard closures are sized for std::function's
@@ -62,15 +66,10 @@ struct MultitenantConfig {
   int nshards = 4;
   int shard_threads = 0;  // 0 = ENOKI_SHARD_THREADS (default 1)
   Duration epoch_ns = 20'000;
-  // Adaptive epoch control (see ShardedEventLoop::Options): the engine
-  // retunes the window within [min_epoch_ns, remote_latency] from committed
-  // traffic. Off by default so static-mode configs stay byte-identical.
+  // Adaptive epochs: the engine's controller retunes the window within
+  // [epoch_ns / 4, remote_latency] from committed traffic. Off, the window
+  // is pinned at epoch_ns (static epochs).
   bool adaptive_epochs = false;
-  Duration min_epoch_ns = 0;  // 0 = epoch_ns / 4
-  // Coalesce same-(deliver_time, src) cross-shard messages at commit (see
-  // ShardedEventLoop::Options::batched_commit). Output is byte-identical on
-  // or off; the flag exists so tests can assert exactly that.
-  bool batched_commit = true;
 
   int tenants_per_group = 16;       // arrival streams per NUMA node
   double rate_per_tenant = 4'000.0; // requests/sec per tenant
@@ -103,8 +102,8 @@ struct MultitenantResult {
   uint64_t events = 0;
   uint64_t epochs = 0;
   uint64_t idle_leaps = 0;      // epochs whose window start leapt idle time
-  uint64_t widens = 0;          // adaptive controller WIDEN decisions
-  uint64_t narrows = 0;         // adaptive controller NARROW decisions
+  uint64_t widens = 0;          // epoch controller WIDEN decisions
+  uint64_t narrows = 0;         // epoch controller NARROW decisions
   Duration final_window_ns = 0; // effective epoch width at run end
   Duration p50 = 0;
   Duration p99 = 0;
@@ -124,8 +123,11 @@ class MultitenantSim {
     ENOKI_CHECK_MSG(cfg_.arrival != ArrivalDist::kPareto || cfg_.pareto_alpha > 1.0,
                     "Pareto arrivals need alpha > 1 for a finite mean-matched rate");
     // The adaptive clamp: the window may widen up to the workload's only
-    // cross-shard latency, never past it.
-    engine_.RegisterCrossLatency(cfg_.remote_latency);
+    // cross-shard latency, never past it. Static epochs register nothing, so
+    // the ceiling stays at epoch_ns.
+    if (cfg_.adaptive_epochs) {
+      engine_.RegisterCrossLatency(cfg_.remote_latency);
+    }
     const bool sharded = cfg_.nshards > 1;
     const int cpus_per_group = cfg_.machine.ncpus / ngroups;
     cfg_.machine.warm_events_per_cpu = cfg_.warm_events_per_cpu;
@@ -168,9 +170,9 @@ class MultitenantSim {
     o.epoch_ns = cfg.epoch_ns;
     o.threads = cfg.shard_threads;
     o.mailbox_slots = RingBuffer<int>::CheckedCapacity<65536>();
-    o.adaptive_epochs = cfg.adaptive_epochs;
-    o.min_epoch_ns = cfg.min_epoch_ns;
-    o.batched_commit = cfg.batched_commit;
+    if (cfg.adaptive_epochs) {
+      o.min_epoch_ns = std::max<Duration>(cfg.epoch_ns / 4, 1);
+    }
     return o;
   }
 

@@ -26,6 +26,7 @@
 
 #include "src/base/time.h"
 #include "src/simkernel/sharded_event_loop.h"
+#include "src/workloads/multitenant.h"
 
 namespace enoki {
 namespace {
@@ -530,25 +531,41 @@ TEST(ShardedDifferential, SingleShardMatchesPlainLoopAcrossSeeds) {
   }
 }
 
+// What the behaviour oracle below pins for one engine run: the merge (or
+// whole-simulation) fingerprint, the event count, and the epoch controller's
+// outcome.
+struct EngineOutcome {
+  uint64_t fingerprint = 0;
+  uint64_t events = 0;
+  uint64_t epochs = 0;
+  uint64_t widens = 0;
+  uint64_t narrows = 0;
+  Duration final_window_ns = 0;
+};
+
+EngineOutcome ReadOutcome(const ShardedEventLoop& engine) {
+  const ShardProfile prof = engine.profile();
+  return EngineOutcome{engine.MergeFingerprint(), engine.events_executed(), engine.epochs(),
+                       prof.widens, prof.narrows, engine.window_ns()};
+}
+
 // Multi-shard determinism: a scripted cross-shard cascade must produce the
 // same per-shard execution logs, the same merge fingerprint, and the same
 // observed merge sequence no matter how many host threads run the shards.
 struct CascadeRun {
   std::vector<std::string> exec_log;   // per-shard logs, concatenated
   std::vector<std::string> merge_log;  // committed cross messages, in order
-  uint64_t fingerprint = 0;
-  uint64_t events = 0;
   uint64_t cross = 0;
+  EngineOutcome outcome;
 };
 
-CascadeRun RunCascade(int threads, bool batched_commit = true) {
+CascadeRun RunCascade(int threads) {
   static constexpr int kShards = 4;
   static constexpr Duration kEpoch = 1'000;
   ShardedEventLoop::Options opts;
   opts.nshards = kShards;
   opts.epoch_ns = kEpoch;
   opts.threads = threads;
-  opts.batched_commit = batched_commit;
   ShardedEventLoop engine(opts);
 
   CascadeRun out;
@@ -587,9 +604,8 @@ CascadeRun RunCascade(int threads, bool batched_commit = true) {
   for (const auto& shard_log : *logs) {
     out.exec_log.insert(out.exec_log.end(), shard_log.begin(), shard_log.end());
   }
-  out.fingerprint = engine.MergeFingerprint();
-  out.events = engine.events_executed();
   out.cross = engine.cross_messages();
+  out.outcome = ReadOutcome(engine);
   return out;
 }
 
@@ -601,46 +617,30 @@ TEST(ShardedDeterminism, CascadeIdenticalAcrossThreadCounts) {
     const CascadeRun tn = RunCascade(threads);
     EXPECT_EQ(t1.exec_log, tn.exec_log) << "threads=" << threads;
     EXPECT_EQ(t1.merge_log, tn.merge_log) << "threads=" << threads;
-    EXPECT_EQ(t1.fingerprint, tn.fingerprint) << "threads=" << threads;
-    EXPECT_EQ(t1.events, tn.events) << "threads=" << threads;
+    EXPECT_EQ(t1.outcome.fingerprint, tn.outcome.fingerprint) << "threads=" << threads;
+    EXPECT_EQ(t1.outcome.events, tn.outcome.events) << "threads=" << threads;
+    EXPECT_EQ(t1.outcome.epochs, tn.outcome.epochs) << "threads=" << threads;
     EXPECT_EQ(t1.cross, tn.cross) << "threads=" << threads;
-  }
-}
-
-// Batched commit must be observably invisible: identical execution order,
-// identical merge observer sequence, and a byte-identical fingerprint whether
-// cross-shard messages travel one per mailbox entry or coalesced — at every
-// host thread count.
-TEST(ShardedDeterminism, BatchedCommitMatchesUnbatchedAcrossThreadCounts) {
-  const CascadeRun batched = RunCascade(1, /*batched_commit=*/true);
-  for (int threads : {1, 2, 4}) {
-    const CascadeRun plain = RunCascade(threads, /*batched_commit=*/false);
-    EXPECT_EQ(batched.exec_log, plain.exec_log) << "threads=" << threads;
-    EXPECT_EQ(batched.merge_log, plain.merge_log) << "threads=" << threads;
-    EXPECT_EQ(batched.fingerprint, plain.fingerprint) << "threads=" << threads;
-    EXPECT_EQ(batched.events, plain.events) << "threads=" << threads;
-    EXPECT_EQ(batched.cross, plain.cross) << "threads=" << threads;
   }
 }
 
 // Same-instant sends from one shard are the case batching exists for: all of
 // them share (deliver_time, src), so they must travel as ONE mailbox entry
 // (prof batched_msgs counts the coalesced tail) and still expand to the exact
-// per-message merge sequence and delivery order of the unbatched engine.
+// per-message merge sequence and delivery order.
 struct BurstRun {
-  uint64_t fingerprint = 0;
   uint64_t cross = 0;
   uint64_t batched = 0;
   std::vector<std::string> merge_log;
   std::vector<int> delivered;
+  EngineOutcome outcome;
 };
 
-BurstRun RunSameInstantBurst(bool batched_commit) {
+BurstRun RunSameInstantBurst() {
   ShardedEventLoop::Options opts;
   opts.nshards = 2;
   opts.epoch_ns = 1'000;
   opts.threads = 1;
-  opts.batched_commit = batched_commit;
   ShardedEventLoop engine(opts);
   BurstRun out;
   engine.set_merge_observer([&out](Time at, int src, int dst, uint64_t seq) {
@@ -659,28 +659,29 @@ BurstRun RunSameInstantBurst(bool batched_commit) {
     });
   }
   engine.RunUntilIdle();
-  out.fingerprint = engine.MergeFingerprint();
   out.cross = engine.cross_messages();
   out.batched = engine.profile().batched_msgs;
+  out.outcome = ReadOutcome(engine);
   return out;
 }
 
 TEST(ShardedDeterminism, BatchedCommitCoalescesSameInstantBursts) {
-  const BurstRun on = RunSameInstantBurst(true);
-  const BurstRun off = RunSameInstantBurst(false);
-  ASSERT_EQ(on.cross, 16u);
-  ASSERT_EQ(off.cross, 16u);
-  // Two 8-message bursts: 7 coalesced tails each when batching is on.
-  EXPECT_EQ(on.batched, 14u);
-  EXPECT_EQ(off.batched, 0u);
-  // Identical observable output either way, including intra-batch order.
-  EXPECT_EQ(on.fingerprint, off.fingerprint);
-  EXPECT_EQ(on.merge_log, off.merge_log);
-  EXPECT_EQ(on.delivered, off.delivered);
-  ASSERT_EQ(on.delivered.size(), 16u);
-  for (size_t i = 1; i < 8; ++i) {
-    EXPECT_LT(on.delivered[i - 1], on.delivered[i]) << "send order violated";
-  }
+  const BurstRun run = RunSameInstantBurst();
+  ASSERT_EQ(run.cross, 16u);
+  // Two 8-message bursts: 7 coalesced tails each.
+  EXPECT_EQ(run.batched, 14u);
+  // Each batch expands to its per-message run: send t + 2us latency, src 0,
+  // dst 1, seqs contiguous in send order; the t=100 burst commits first.
+  const std::vector<std::string> want_merge = {
+      "2100:0>1#1",  "2100:0>1#2",  "2100:0>1#3",  "2100:0>1#4",
+      "2100:0>1#5",  "2100:0>1#6",  "2100:0>1#7",  "2100:0>1#8",
+      "7000:0>1#9",  "7000:0>1#10", "7000:0>1#11", "7000:0>1#12",
+      "7000:0>1#13", "7000:0>1#14", "7000:0>1#15", "7000:0>1#16"};
+  EXPECT_EQ(run.merge_log, want_merge);
+  // Delivery follows commit order, so each burst arrives in send order.
+  const std::vector<int> want_delivered = {100,  101,  102,  103,  104,  105,  106,  107,
+                                           5000, 5001, 5002, 5003, 5004, 5005, 5006, 5007};
+  EXPECT_EQ(run.delivered, want_delivered);
 }
 
 // The epoch-leap optimization must not change behaviour: widely spaced
@@ -723,6 +724,62 @@ TEST(ShardedDeterminism, RejectsLatencyBelowEpoch) {
   EXPECT_DEATH(engine.PostCross(0, 1, 4'999, [] {}), "lookahead");
 }
 
+// Behaviour oracle for the sharded engine: four small runs whose
+// fingerprint, event count and epoch-controller outcome are pinned as
+// literals. A refactor of the epoch loop, the controller or the mailbox
+// commit that keeps these rows is behaviour-preserving; any drift is a
+// behaviour change, not noise (every column is simulated state).
+MultitenantConfig OracleMultitenant(bool adaptive) {
+  MultitenantConfig cfg;
+  cfg.machine = MachineSpec{16, 4, "4-node mini (4x4)"};
+  cfg.nshards = 4;
+  cfg.shard_threads = 1;
+  cfg.tenants_per_group = 4;
+  cfg.rate_per_tenant = 40'000.0;
+  cfg.workers_per_group = 3;
+  cfg.warmup = Microseconds(200);
+  cfg.runtime = Milliseconds(4);
+  cfg.seed = 1;
+  cfg.adaptive_epochs = adaptive;
+  if (adaptive) {
+    cfg.remote_latency = Microseconds(100);  // widening headroom above 20us
+  }
+  return cfg;
+}
+
+EngineOutcome RunOracleMultitenant(bool adaptive) {
+  const MultitenantResult r = RunMultitenant(OracleMultitenant(adaptive));
+  return EngineOutcome{r.fingerprint, r.events, r.epochs, r.widens, r.narrows,
+                       r.final_window_ns};
+}
+
+TEST(ShardedOracle, PinnedOutcomesTable) {
+  struct Row {
+    const char* name;
+    std::function<EngineOutcome()> run;
+    EngineOutcome want;
+  };
+  const Row rows[] = {
+      {"multitenant_static", [] { return RunOracleMultitenant(false); },
+       {0x3c5b711ed2a89061ull, 10075, 210, 0, 0, 20000}},
+      {"multitenant_adaptive", [] { return RunOracleMultitenant(true); },
+       {0x8f27a816cbd6d410ull, 10079, 55, 3, 0, 100000}},
+      {"cascade_1thread", [] { return RunCascade(1).outcome; },
+       {0xeb03d9986b75a2deull, 104, 17, 0, 0, 1000}},
+      {"same_instant_burst", [] { return RunSameInstantBurst().outcome; },
+       {0x3c17504123a5ec95ull, 18, 4, 0, 0, 1000}},
+  };
+  for (const Row& row : rows) {
+    const EngineOutcome got = row.run();
+    EXPECT_EQ(got.fingerprint, row.want.fingerprint) << row.name;
+    EXPECT_EQ(got.events, row.want.events) << row.name;
+    EXPECT_EQ(got.epochs, row.want.epochs) << row.name;
+    EXPECT_EQ(got.widens, row.want.widens) << row.name;
+    EXPECT_EQ(got.narrows, row.want.narrows) << row.name;
+    EXPECT_EQ(got.final_window_ns, row.want.final_window_ns) << row.name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // EpochController unit tests. The controller is pure (committed counts in,
 // window out), so its decision sequence is tested directly without an engine.
@@ -732,9 +789,7 @@ EpochController::Config ControllerConfig() {
   EpochController::Config cfg;
   cfg.floor = 5'000;
   cfg.ceiling = 80'000;
-  cfg.period = 4;
   cfg.mailbox_slots = 1024;
-  cfg.widen_density = 16;
   return cfg;
 }
 
@@ -743,7 +798,7 @@ TEST(EpochController, WidensOnDensityUpToCeiling) {
   Duration w = 10'000;
   // Dense, quiet-mailbox epochs: 100 events, no messages, no leaps. Every
   // period the window should double until the ceiling clamp holds it.
-  for (int epoch = 0; epoch < 4 * 8; ++epoch) {
+  for (uint64_t epoch = 0; epoch < EpochController::kPeriod * 8; ++epoch) {
     w = c.OnEpoch(w, /*committed_msgs=*/0, /*events=*/100, /*leapt=*/false);
   }
   EXPECT_EQ(w, 80'000u);  // 10k -> 20k -> 40k -> 80k, then held at ceiling
@@ -755,7 +810,7 @@ TEST(EpochController, NarrowsUnderMailboxPressureDownToFloor) {
   EpochController c(ControllerConfig());
   Duration w = 80'000;
   // avg 300 msgs/epoch * 4 >= 1024 slots: overflow risk, halve every period.
-  for (int epoch = 0; epoch < 4 * 8; ++epoch) {
+  for (uint64_t epoch = 0; epoch < EpochController::kPeriod * 8; ++epoch) {
     w = c.OnEpoch(w, /*committed_msgs=*/300, /*events=*/1000, /*leapt=*/false);
   }
   EXPECT_EQ(w, 5'000u);  // 80k -> 40k -> 20k -> 10k -> 5k, then floor
@@ -768,7 +823,7 @@ TEST(EpochController, HoldsWhenLeapDominated) {
   Duration w = 10'000;
   // Half the epochs leapt idle time: the traffic is sparse bursts, so the
   // density average is meaningless and the controller must hold.
-  for (int epoch = 0; epoch < 4 * 8; ++epoch) {
+  for (uint64_t epoch = 0; epoch < EpochController::kPeriod * 8; ++epoch) {
     w = c.OnEpoch(w, /*committed_msgs=*/0, /*events=*/100,
                   /*leapt=*/(epoch % 2) == 0);
   }
@@ -778,11 +833,9 @@ TEST(EpochController, HoldsWhenLeapDominated) {
 }
 
 TEST(EpochController, DecidesOnlyAtPeriodBoundaries) {
-  EpochController::Config cfg = ControllerConfig();
-  cfg.period = 8;
-  EpochController c(cfg);
+  EpochController c(ControllerConfig());
   Duration w = 10'000;
-  for (int epoch = 0; epoch < 7; ++epoch) {
+  for (uint64_t epoch = 0; epoch + 1 < EpochController::kPeriod; ++epoch) {
     w = c.OnEpoch(w, 0, 1000, false);
     EXPECT_EQ(w, 10'000u) << "decision before the period boundary";
   }
@@ -891,16 +944,14 @@ TEST(EventLoopProfile, BulkCascadeSplicesWholeBucketIntoLane) {
   EXPECT_GE(loop.wheel_profile().bulk_cascades, 1u);
 }
 
-// The clamp invariant end to end: with adaptive epochs on, the effective
-// window may widen under dense traffic but never past the minimum registered
-// cross-shard latency, and posts below that bound die loudly.
+// The clamp invariant end to end: once a cross-shard latency is registered,
+// the effective window may widen under dense traffic but never past it, and
+// posts below that bound die loudly.
 TEST(ShardedDeterminism, AdaptiveWindowClampedToRegisteredLatency) {
   ShardedEventLoop::Options opts;
   opts.nshards = 2;
   opts.epoch_ns = 5'000;
   opts.threads = 1;
-  opts.adaptive_epochs = true;
-  opts.controller_period = 2;
   ShardedEventLoop engine(opts);
   engine.RegisterCrossLatency(20'000);
   // Dense tickers on both shards: ~50 events per shard per 5us epoch, far
@@ -927,11 +978,10 @@ TEST(ShardedDeterminism, AdaptiveRejectsPostBelowRegisteredLatency) {
   opts.nshards = 2;
   opts.epoch_ns = 5'000;
   opts.threads = 1;
-  opts.adaptive_epochs = true;
   ShardedEventLoop engine(opts);
   engine.RegisterCrossLatency(20'000);
-  // The window may widen up to 20us, so a 10us cross latency — legal in
-  // static mode — would break lookahead here and must be rejected.
+  // The window may widen up to 20us, so a 10us cross latency — legal with
+  // nothing registered — would break lookahead here and must be rejected.
   EXPECT_DEATH(engine.PostCross(0, 1, 10'000, [] {}), "lookahead");
 }
 

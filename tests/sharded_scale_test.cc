@@ -130,26 +130,6 @@ TEST(ShardedScale, AdaptiveEpochsCutEpochCountVsStatic) {
   EXPECT_LT(ratio, 1.1);
 }
 
-// With the window pinned (floor == ceiling == epoch_ns) the controller can
-// never move it, so adaptive mode must reproduce static mode byte for byte —
-// the adaptive machinery itself adds no nondeterminism.
-TEST(ShardedScale, AdaptivePinnedWindowMatchesStaticExactly) {
-  const MachineSpec machine = MachineSpec::FourNode128();
-  MultitenantConfig fixed = ScaleConfig(machine, machine.nodes);
-  fixed.remote_latency = fixed.epoch_ns;  // ceiling = epoch
-  MultitenantConfig pinned = fixed;
-  pinned.adaptive_epochs = true;
-  pinned.min_epoch_ns = fixed.epoch_ns;  // floor = epoch
-  const MultitenantResult a = RunMultitenant(fixed);
-  const MultitenantResult b = RunMultitenant(pinned);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
-  EXPECT_EQ(a.epochs, b.epochs);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(b.widens, 0u);
-  EXPECT_EQ(b.narrows, 0u);
-  EXPECT_EQ(b.final_window_ns, fixed.epoch_ns);
-}
-
 TEST(ShardedScale, ShardedBeatsUnshardedOnEventCountParity) {
   // The unsharded (nshards=1) and sharded (nshards=nodes) builds of the
   // workload simulate the same logical system: same groups, same pinned CPU
