@@ -263,8 +263,9 @@ class EnokiSched {
 
   // Restores state serialized by an instance whose CheckpointVersion() was
   // `version`. Called on a quiesced (empty) module instance. Returns false
-  // when the version is unsupported or the payload is malformed; the module
-  // must be left usable (fresh) either way.
+  // when the version is unsupported or the payload is malformed; either way
+  // the module must be left fresh, a refused load never leaving part of the
+  // payload behind (in-tree policies load through DecodeThenCommit).
   virtual bool LoadCheckpoint(uint32_t version, ByteReader* in) { return false; }
 
   // The probation budgets a freshly upgraded instance of this policy should
@@ -313,6 +314,9 @@ class EnokiSched {
   virtual void ParseHint(const HintBlob& hint) {}
 
  protected:
+  // CPUs of the attached machine; 0 while detached.
+  size_t LiveCpus() const { return env_ != nullptr ? static_cast<size_t>(env_->NumCpus()) : 0; }
+
   EnokiKernelEnv* env_ = nullptr;
 };
 

@@ -279,12 +279,7 @@ TransferState CentralSched::ReregisterPrepare() {
   t->queues = std::move(queues_);
   t->running_pid = std::move(running_pid_);
   t->next_seq = next_seq_;
-  ents_.clear();
-  tokens_.clear();
-  queues_.clear();
-  running_pid_.clear();
-  next_seq_ = 1;
-  timer_armed_ = false;
+  Reset();
   return TransferState::Of(std::move(t));
 }
 
@@ -311,33 +306,21 @@ void CentralSched::ReregisterInit(TransferState state) {
 
 bool CentralSched::SaveCheckpoint(ByteWriter* out) const {
   SpinLockGuard g(lock_);
-  out->U64(next_seq_);
-  return true;
+  return EncodeFields(out, CheckpointVersion(), Snapshot{next_seq_});
 }
 
 bool CentralSched::LoadCheckpoint(uint32_t version, ByteReader* in) {
-  if (version != 1) {
-    return false;
-  }
-  SpinLockGuard g(lock_);
+  return DecodeThenCommit(this, &lock_, env_ != nullptr, version, in, &CentralSched::Reset,
+                          &CentralSched::Commit);
+}
+
+void CentralSched::Reset() {
   ents_.clear();
   tokens_.clear();
-  // A rollback target had its vectors moved out by ReregisterPrepare;
-  // rebuild the per-CPU structures before restoring into them.
-  if (queues_.empty() && env_ != nullptr) {
-    queues_.resize(static_cast<size_t>(env_->NumCpus()));
-  }
-  for (auto& q : queues_) {
-    q.clear();
-  }
-  running_pid_.assign(queues_.size(), 0);
+  queues_.assign(LiveCpus(), {});
+  running_pid_.assign(LiveCpus(), 0);
   timer_armed_ = false;
-  uint64_t seq = 0;
-  if (!in->U64(&seq) || seq == 0) {
-    return false;
-  }
-  next_seq_ = seq;
-  return !in->overrun();
+  next_seq_ = 1;
 }
 
 uint64_t CentralSched::dispatch_pulses() {

@@ -58,8 +58,7 @@ class CentralSched : public EnokiSched {
   void Attach(EnokiKernelEnv* env) override {
     EnokiSched::Attach(env);
     if (queues_.empty()) {
-      queues_.resize(static_cast<size_t>(env->NumCpus()));
-      running_pid_.assign(static_cast<size_t>(env->NumCpus()), 0);
+      Reset();
     }
   }
 
@@ -108,6 +107,15 @@ class CentralSched : public EnokiSched {
   size_t QueueDepth(int cpu);
 
  private:
+  struct Snapshot {
+    uint64_t next_seq = 1;
+    void Fields(FieldIo& io) { io.U64(next_seq, 1); }
+  };
+
+  // Fresh per-CPU shape, shared by Attach, ReregisterPrepare and LoadCheckpoint.
+  void Reset();
+  void Commit(const Snapshot& s) { next_seq_ = s.next_seq; }
+
   void RequeueRunnable(const TaskMessage& msg, Schedulable sched);
   void ArmPulseLocked();
   bool AnyQueuedLocked() const;

@@ -41,7 +41,7 @@ void LayeredSched::Attach(EnokiKernelEnv* env) {
     }
   }
   if (queues_.empty()) {
-    queues_.resize(static_cast<size_t>(ncpus));
+    Reset();
   }
 }
 
@@ -364,11 +364,7 @@ TransferState LayeredSched::ReregisterPrepare() {
   t->queues = std::move(queues_);
   t->layer_vtime = std::move(layer_vtime_);
   t->next_seq = next_seq_;
-  ents_.clear();
-  tokens_.clear();
-  queues_.clear();
-  layer_vtime_.assign(layers_.size(), 0);
-  next_seq_ = 1;
+  Reset();
   return TransferState::Of(std::move(t));
 }
 
@@ -392,46 +388,25 @@ void LayeredSched::ReregisterInit(TransferState state) {
 
 bool LayeredSched::SaveCheckpoint(ByteWriter* out) const {
   SpinLockGuard g(lock_);
-  out->U64(layer_vtime_.size());
-  for (uint64_t v : layer_vtime_) {
-    out->U64(v);
-  }
-  out->U64(next_seq_);
-  return true;
+  return EncodeFields(out, CheckpointVersion(), Snapshot{layers_.size(), layer_vtime_, next_seq_});
 }
 
 bool LayeredSched::LoadCheckpoint(uint32_t version, ByteReader* in) {
-  if (version != 1) {
-    return false;
-  }
-  SpinLockGuard g(lock_);
+  return DecodeThenCommit(this, &lock_, env_ != nullptr, version, in, &LayeredSched::Reset,
+                          &LayeredSched::Commit, Snapshot{layers_.size(), {}, 1});
+}
+
+void LayeredSched::Reset() {
   ents_.clear();
   tokens_.clear();
-  if (queues_.empty() && env_ != nullptr) {
-    queues_.resize(static_cast<size_t>(env_->NumCpus()));
-  }
-  for (auto& q : queues_) {
-    q.clear();
-  }
-  uint64_t nlayers = 0;
-  if (!in->U64(&nlayers) || nlayers != layers_.size()) {
-    // Layer config is constructor state; a checkpoint from a differently
-    // configured instance is not meaningfully restorable.
-    return false;
-  }
-  std::vector<uint64_t> vtimes(layers_.size(), 0);
-  for (uint64_t i = 0; i < nlayers; ++i) {
-    if (!in->U64(&vtimes[i])) {
-      return false;
-    }
-  }
-  uint64_t seq = 0;
-  if (!in->U64(&seq) || seq == 0) {
-    return false;
-  }
-  layer_vtime_ = std::move(vtimes);
-  next_seq_ = seq;
-  return !in->overrun();
+  queues_.assign(LiveCpus(), {});
+  layer_vtime_.assign(layers_.size(), 0);
+  next_seq_ = 1;
+}
+
+void LayeredSched::Commit(const Snapshot& s) {
+  layer_vtime_ = s.layer_vtime;
+  next_seq_ = s.next_seq;
 }
 
 int LayeredSched::LayerOf(uint64_t pid) {

@@ -107,6 +107,22 @@ class LayeredSched : public EnokiSched {
   int nlayers() const { return static_cast<int>(layers_.size()); }
 
  private:
+  struct Snapshot {
+    // Not serialized: layers are constructor state, so a payload with another
+    // layer count comes from a differently configured instance and is refused.
+    uint64_t nlayers = 0;
+    std::vector<uint64_t> layer_vtime;
+    uint64_t next_seq = 1;
+    void Fields(FieldIo& io) {
+      io.List(layer_vtime, nlayers, nlayers, [&](uint64_t& v) { io.U64(v); });
+      io.U64(next_seq, 1);
+    }
+  };
+
+  // Fresh per-CPU shape, shared by Attach, ReregisterPrepare and LoadCheckpoint.
+  void Reset();
+  void Commit(const Snapshot& s);
+
   void RequeueRunnable(const TaskMessage& msg, Schedulable sched);
   int MatchLayerLocked(int nice) const;
   // May layer's tasks run on cpu? Owner layer yes, shared CPUs yes, open

@@ -5,7 +5,7 @@ namespace enoki {
 void PairSched::ParseHint(const HintBlob& hint) {
   SpinLockGuard g(lock_);
   const uint64_t pid = hint.w[0];
-  if (pid == 0 || pid > (1u << 24)) {
+  if (pid == 0 || pid > kMaxCheckpointId) {  // the pid bound checkpoints use
     return;
   }
   if (pid >= cookie_of_.size()) {
@@ -284,13 +284,7 @@ TransferState PairSched::ReregisterPrepare() {
   t->running_cookie = std::move(running_cookie_);
   t->cookie_of = std::move(cookie_of_);
   t->next_seq = next_seq_;
-  ents_.clear();
-  tokens_.clear();
-  queues_.clear();
-  running_pid_.clear();
-  running_cookie_.clear();
-  cookie_of_.clear();
-  next_seq_ = 1;
+  Reset();
   return TransferState::Of(std::move(t));
 }
 
@@ -314,63 +308,38 @@ void PairSched::ReregisterInit(TransferState state) {
 
 bool PairSched::SaveCheckpoint(ByteWriter* out) const {
   SpinLockGuard g(lock_);
-  out->U64(next_seq_);
-  uint64_t ncookies = 0;
-  for (uint64_t c : cookie_of_) {
-    if (c != 0) {
-      ++ncookies;
-    }
-  }
-  out->U64(ncookies);
+  Snapshot s{next_seq_, {}};
   for (uint64_t pid = 0; pid < cookie_of_.size(); ++pid) {
     if (cookie_of_[pid] != 0) {
-      out->U64(pid);
-      out->U64(cookie_of_[pid]);
+      s.cookies.emplace_back(pid, cookie_of_[pid]);
     }
   }
-  return true;
+  return EncodeFields(out, CheckpointVersion(), std::move(s));
 }
 
 bool PairSched::LoadCheckpoint(uint32_t version, ByteReader* in) {
-  if (version != 1) {
-    return false;
-  }
-  SpinLockGuard g(lock_);
+  return DecodeThenCommit(this, &lock_, env_ != nullptr, version, in, &PairSched::Reset,
+                          &PairSched::Commit);
+}
+
+void PairSched::Reset() {
   ents_.clear();
   tokens_.clear();
   cookie_of_.clear();
-  if (queues_.empty() && env_ != nullptr) {
-    queues_.resize(static_cast<size_t>(env_->NumCpus()));
-  }
-  for (auto& q : queues_) {
-    q.clear();
-  }
-  running_pid_.assign(queues_.size(), 0);
-  running_cookie_.assign(queues_.size(), 0);
-  uint64_t seq = 0;
-  uint64_t ncookies = 0;
-  if (!in->U64(&seq) || seq == 0 || !in->U64(&ncookies) || ncookies > (1u << 24)) {
-    return false;
-  }
-  for (uint64_t i = 0; i < ncookies; ++i) {
-    uint64_t pid = 0;
-    uint64_t cookie = 0;
-    if (!in->U64(&pid) || !in->U64(&cookie)) {
-      cookie_of_.clear();
-      return false;
-    }
-    // Same sanity bounds as WFQ: pids are dense, assigned from 1.
-    if (pid == 0 || pid > (1u << 24)) {
-      cookie_of_.clear();
-      return false;
-    }
+  queues_.assign(LiveCpus(), {});
+  running_pid_.assign(LiveCpus(), 0);
+  running_cookie_.assign(LiveCpus(), 0);
+  next_seq_ = 1;
+}
+
+void PairSched::Commit(const Snapshot& s) {
+  for (const auto& [pid, cookie] : s.cookies) {
     if (pid >= cookie_of_.size()) {
       cookie_of_.resize(pid + 1, 0);
     }
     cookie_of_[pid] = cookie;
   }
-  next_seq_ = seq;
-  return !in->overrun();
+  next_seq_ = s.next_seq;
 }
 
 uint64_t PairSched::CookieOf(uint64_t pid) {

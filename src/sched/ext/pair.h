@@ -57,9 +57,7 @@ class PairSched : public EnokiSched {
   void Attach(EnokiKernelEnv* env) override {
     EnokiSched::Attach(env);
     if (queues_.empty()) {
-      queues_.resize(static_cast<size_t>(env->NumCpus()));
-      running_pid_.assign(static_cast<size_t>(env->NumCpus()), 0);
-      running_cookie_.assign(static_cast<size_t>(env->NumCpus()), 0);
+      Reset();
     }
   }
 
@@ -102,6 +100,23 @@ class PairSched : public EnokiSched {
   size_t QueueDepth(int cpu);
 
  private:
+  using Cookie = std::pair<uint64_t, uint64_t>;  // pid, cookie
+  struct Snapshot {
+    uint64_t next_seq = 1;
+    std::vector<Cookie> cookies;  // nonzero cookies only
+    void Fields(FieldIo& io) {
+      io.U64(next_seq, 1);
+      io.List(cookies, 0, kMaxCheckpointId, [&](Cookie& c) {
+        io.U64(c.first, 1, kMaxCheckpointId);  // pids are dense, assigned from 1
+        io.U64(c.second);
+      });
+    }
+  };
+
+  // Fresh per-CPU shape, shared by Attach, ReregisterPrepare and LoadCheckpoint.
+  void Reset();
+  void Commit(const Snapshot& s);
+
   void RequeueRunnable(const TaskMessage& msg, Schedulable sched);
   uint64_t CookieOfLocked(uint64_t pid) const {
     return pid < cookie_of_.size() ? cookie_of_[pid] : 0;

@@ -49,29 +49,26 @@ class RunningAvg {
   }
 
   // ---- Checkpoint support ----
-  // The serialized form is the four words of internal state; the half-life
-  // is configuration and travels with the module, not the checkpoint.
-  void Save(ByteWriter* out) const {
-    out->U64(static_cast<uint64_t>(window_start_));
-    out->U64(static_cast<uint64_t>(last_));
-    out->U64(avg_);
-    out->U64(win_sum_);
-    out->U64(cur_);
+  // The five words of internal state; the half-life is configuration and
+  // travels with the module, not the checkpoint.
+  void Fields(FieldIo& io) {
+    io.U64(window_start_);
+    io.U64(last_);
+    io.U64(avg_);
+    io.U64(win_sum_);
+    io.U64(cur_);
+    io.Require(last_ >= window_start_);  // simulated time is monotonic
   }
+  void Save(ByteWriter* out) const { EncodeFields(out, 0, *this); }
+  // Decodes into a copy, so a refused payload leaves this instance untouched.
   bool Load(ByteReader* in) {
-    uint64_t ws = 0;
-    uint64_t last = 0;
-    in->U64(&ws);
-    in->U64(&last);
-    in->U64(&avg_);
-    in->U64(&win_sum_);
-    in->U64(&cur_);
-    if (in->overrun() || last < ws) {
-      return false;
+    RunningAvg decoded(half_life_);
+    FieldIo io(in, 0);
+    decoded.Fields(io);
+    if (io.ok()) {
+      *this = decoded;
     }
-    window_start_ = ws;
-    last_ = last;
-    return true;
+    return io.ok();
   }
 
  private:

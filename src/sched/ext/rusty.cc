@@ -6,16 +6,17 @@ namespace enoki {
 
 void RustySched::Attach(EnokiKernelEnv* env) {
   EnokiSched::Attach(env);
-  EnsureTopologyLocked();
+  if (queues_.empty()) {
+    Reset();
+  }
 }
 
-void RustySched::EnsureTopologyLocked() {
-  if (!queues_.empty() || env_ == nullptr) {
-    return;
-  }
-  const int ncpus = env_->NumCpus();
-  queues_.resize(static_cast<size_t>(ncpus));
-  dom_of_cpu_.resize(static_cast<size_t>(ncpus));
+void RustySched::Reset() {
+  const int ncpus = static_cast<int>(LiveCpus());
+  ents_.clear();
+  tokens_.clear();
+  queues_.assign(static_cast<size_t>(ncpus), {});
+  dom_of_cpu_.assign(static_cast<size_t>(ncpus), 0);
   int ndoms = 0;
   for (int cpu = 0; cpu < ncpus; ++cpu) {
     dom_of_cpu_[cpu] = env_->NodeOf(cpu);
@@ -27,6 +28,7 @@ void RustySched::EnsureTopologyLocked() {
   }
   ravgs_.assign(static_cast<size_t>(ndoms), RunningAvg(half_life_));
   dom_weight_.assign(static_cast<size_t>(ndoms), 0);
+  next_seq_ = 1;
 }
 
 void RustySched::AddLoadLocked(Ent& e) {
@@ -366,23 +368,16 @@ TransferState RustySched::ReregisterPrepare() {
   t->ravgs = std::move(ravgs_);
   t->dom_weight = std::move(dom_weight_);
   t->next_seq = next_seq_;
-  ents_.clear();
-  tokens_.clear();
-  queues_.clear();
-  ravgs_.clear();
-  dom_weight_.clear();
-  next_seq_ = 1;
+  Reset();
   return TransferState::Of(std::move(t));
 }
 
 void RustySched::ReregisterInit(TransferState state) {
   if (state.empty()) {
-    EnsureTopologyLocked();
     return;
   }
   auto t = state.Take<Transfer>();
   if (t == nullptr) {
-    EnsureTopologyLocked();
     return;
   }
   SpinLockGuard g(lock_);
@@ -396,50 +391,19 @@ void RustySched::ReregisterInit(TransferState state) {
 
 bool RustySched::SaveCheckpoint(ByteWriter* out) const {
   SpinLockGuard g(lock_);
-  out->U64(next_seq_);
-  out->U64(ravgs_.size());
-  for (const RunningAvg& r : ravgs_) {
-    r.Save(out);
-  }
-  return true;
+  return EncodeFields(out, CheckpointVersion(), Snapshot{half_life_, next_seq_, ravgs_});
 }
 
 bool RustySched::LoadCheckpoint(uint32_t version, ByteReader* in) {
-  if (version != 1) {
-    return false;
-  }
-  SpinLockGuard g(lock_);
-  ents_.clear();
-  tokens_.clear();
-  // A rollback target had its structures moved out by ReregisterPrepare.
-  EnsureTopologyLocked();
-  if (ravgs_.empty() && !dom_cpus_.empty()) {
-    ravgs_.assign(dom_cpus_.size(), RunningAvg(half_life_));
-    dom_weight_.assign(dom_cpus_.size(), 0);
-  }
-  for (auto& q : queues_) {
-    q.clear();
-  }
-  std::fill(dom_weight_.begin(), dom_weight_.end(), 0);
-  uint64_t seq = 0;
-  uint64_t ndoms = 0;
-  if (!in->U64(&seq) || seq == 0 || !in->U64(&ndoms) || ndoms == 0 || ndoms > 64) {
-    return false;
-  }
-  // Domains beyond this machine's count are consumed and dropped; missing
-  // ones keep a fresh (zero) history — same renormalization stance as WFQ's
-  // per-CPU cursors.
-  for (uint64_t d = 0; d < ndoms; ++d) {
-    RunningAvg r(half_life_);
-    if (!r.Load(in)) {
-      return false;
-    }
-    if (d < ravgs_.size()) {
-      ravgs_[d] = r;
-    }
-  }
-  next_seq_ = seq;
-  return !in->overrun();
+  return DecodeThenCommit(this, &lock_, env_ != nullptr, version, in, &RustySched::Reset,
+                          &RustySched::Commit, Snapshot{half_life_, 1, {}});
+}
+
+// Domains beyond this machine's count are dropped; missing ones keep a fresh
+// (idle) history — the same renormalization stance as WFQ's per-CPU cursors.
+void RustySched::Commit(const Snapshot& s) {
+  ravgs_ = FoldOntoLive<Fold::kDrop>(s.ravgs, ravgs_.size(), RunningAvg(half_life_));
+  next_seq_ = s.next_seq;
 }
 
 int RustySched::DomainOf(uint64_t pid) {

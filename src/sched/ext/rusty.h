@@ -58,6 +58,7 @@ class RustySched : public EnokiSched {
   static constexpr Duration kDefaultSliceNs = Milliseconds(2);
   static constexpr Duration kDefaultHalfLifeNs = Milliseconds(5);
   static constexpr Duration kStealBanNs = Milliseconds(5);
+  static constexpr uint64_t kMaxDomains = 64;
 
   // greedy_ratio_pct: a cross-domain steal needs the busiest domain's load
   // to be at least this percentage of ours (200 = 2x). Very large values
@@ -117,10 +118,22 @@ class RustySched : public EnokiSched {
   size_t QueueDepth(int cpu);
 
  private:
+  struct Snapshot {
+    Duration half_life = kDefaultHalfLifeNs;  // configuration: not serialized
+    uint64_t next_seq = 1;
+    std::vector<RunningAvg> ravgs;  // one per saved domain
+    void Fields(FieldIo& io) {
+      io.U64(next_seq, 1);
+      io.List(ravgs, 1, kMaxDomains, [&](RunningAvg& r) { r.Fields(io); },
+              RunningAvg(half_life));
+    }
+  };
+
   void RequeueRunnable(const TaskMessage& msg, Schedulable sched);
-  // Builds domain structures from the environment's topology. Caller holds
-  // lock_ (or is in Attach, before concurrency starts).
-  void EnsureTopologyLocked();
+  // Fresh shape (domains from the environment's topology, idle history),
+  // shared by Attach, ReregisterPrepare and LoadCheckpoint.
+  void Reset();
+  void Commit(const Snapshot& s);
   void AddLoadLocked(Ent& e);
   void SubLoadLocked(Ent& e);
 

@@ -32,7 +32,7 @@ class FifoSched : public EnokiSched {
   void Attach(EnokiKernelEnv* env) override {
     EnokiSched::Attach(env);
     if (queues_.empty()) {
-      queues_.resize(static_cast<size_t>(env->NumCpus()));
+      Reset();
     }
   }
 
@@ -137,8 +137,7 @@ class FifoSched : public EnokiSched {
     t->queues = std::move(queues_);
     t->tokens = std::move(tokens_);
     t->next_cpu = next_cpu_;
-    queues_.clear();
-    tokens_.clear();
+    Reset();
     return TransferState::Of(std::move(t));
   }
 
@@ -161,30 +160,12 @@ class FifoSched : public EnokiSched {
   // runtime's post-restore wakeup re-injection.
   bool SaveCheckpoint(ByteWriter* out) const override {
     SpinLockGuard g(lock_);
-    out->U64(static_cast<uint64_t>(next_cpu_));
-    return true;
+    return EncodeFields(out, CheckpointVersion(), Snapshot{static_cast<uint64_t>(next_cpu_)});
   }
   uint32_t CheckpointVersion() const override { return 1; }
   bool LoadCheckpoint(uint32_t version, ByteReader* in) override {
-    if (version != 1) {
-      return false;
-    }
-    uint64_t cursor = 0;
-    if (!in->U64(&cursor)) {
-      return false;
-    }
-    SpinLockGuard g(lock_);
-    // A rollback target had its queues moved out by ReregisterPrepare;
-    // rebuild them before restoring the cursor.
-    if (queues_.empty() && env_ != nullptr) {
-      queues_.resize(static_cast<size_t>(env_->NumCpus()));
-    }
-    for (auto& q : queues_) {
-      q.clear();
-    }
-    tokens_.clear();
-    next_cpu_ = queues_.empty() ? 0 : static_cast<int>(cursor % queues_.size());
-    return true;
+    return DecodeThenCommit(this, &lock_, env_ != nullptr, version, in, &FifoSched::Reset,
+                            &FifoSched::Commit);
   }
 
   size_t QueueDepth(int cpu) {
@@ -193,6 +174,21 @@ class FifoSched : public EnokiSched {
   }
 
  private:
+  struct Snapshot {
+    uint64_t next_cpu = 0;
+    void Fields(FieldIo& io) { io.U64(next_cpu); }
+  };
+
+  // Fresh per-CPU shape, shared by Attach, ReregisterPrepare and LoadCheckpoint.
+  void Reset() {
+    queues_.assign(LiveCpus(), {});
+    tokens_.clear();
+    next_cpu_ = 0;
+  }
+  void Commit(const Snapshot& s) {
+    next_cpu_ = static_cast<int>(OntoLive(s.next_cpu, queues_.size()));
+  }
+
   void Enqueue(uint64_t pid, Schedulable sched) {
     SpinLockGuard g(lock_);
     queues_[sched.cpu()].push_back(pid);

@@ -125,6 +125,23 @@ class GhostClass : public SchedClass {
   bool LoadCheckpoint(uint32_t version, ByteReader* in);
 
  private:
+  struct Snapshot {
+    uint64_t next_seq = 1;
+    uint64_t commits = 0;
+    uint64_t messages = 0;
+    uint64_t rr_cpu = 0;
+    void Fields(FieldIo& io) {
+      io.U64(next_seq, 1);  // sequence numbers start at 1
+      io.U64(commits);
+      io.U64(messages);
+      io.U64(rr_cpu, 0, kMaxCheckpointCpus);
+    }
+  };
+
+  // Resets the checkpointed cursors; the task tables are kernel-side.
+  void Reset();
+  void Commit(const Snapshot& s);
+
   struct GTask {
     bool runnable = false;
     int running_cpu = -1;

@@ -36,7 +36,7 @@ class LocalitySched : public EnokiSched {
   void Attach(EnokiKernelEnv* env) override {
     EnokiSched::Attach(env);
     if (queues_.empty()) {
-      queues_.resize(static_cast<size_t>(env->NumCpus()));
+      Reset();
     }
   }
 
@@ -145,88 +145,69 @@ class LocalitySched : public EnokiSched {
   // ---- Checkpointing (recovery ladder) ----
   // v1: the placement accounting only — group->core assignments, pid->group
   // memberships, and the round-robin cursor. Queue membership and tokens
-  // stay with the runtime; the rng is reseeded fresh (random placement is a
+  // stay with the runtime; the rng is not saved (random placement is a
   // baseline, not accounting). unordered_map contents are serialized in
   // sorted key order so identical state always yields identical bytes — the
   // checkpoint itself is part of the determinism contract.
   bool SaveCheckpoint(ByteWriter* out) const override {
     SpinLockGuard g(lock_);
-    out->U64(static_cast<uint64_t>(next_group_cpu_));
-    std::vector<std::pair<uint64_t, uint64_t>> groups(group_cpu_.begin(), group_cpu_.end());
-    std::sort(groups.begin(), groups.end());
-    out->U64(groups.size());
-    for (const auto& [group, cpu] : groups) {
-      out->U64(group);
-      out->U64(static_cast<uint64_t>(cpu));
-    }
-    std::vector<std::pair<uint64_t, uint64_t>> pids(group_of_.begin(), group_of_.end());
-    std::sort(pids.begin(), pids.end());
-    out->U64(pids.size());
-    for (const auto& [pid, group] : pids) {
-      out->U64(pid);
-      out->U64(group);
-    }
-    return true;
+    Snapshot s;
+    s.next_group_cpu = static_cast<uint64_t>(next_group_cpu_);
+    s.group_cpu.assign(group_cpu_.begin(), group_cpu_.end());
+    s.group_of.assign(group_of_.begin(), group_of_.end());
+    std::sort(s.group_cpu.begin(), s.group_cpu.end());
+    std::sort(s.group_of.begin(), s.group_of.end());
+    return EncodeFields(out, CheckpointVersion(), std::move(s));
   }
 
   uint32_t CheckpointVersion() const override { return 1; }
 
   bool LoadCheckpoint(uint32_t version, ByteReader* in) override {
-    if (version != 1) {
-      return false;
-    }
-    SpinLockGuard g(lock_);
-    group_of_.clear();
-    group_cpu_.clear();
-    tokens_.clear();
-    if (queues_.empty() && env_ != nullptr) {
-      queues_.resize(static_cast<size_t>(env_->NumCpus()));
-    }
-    for (auto& q : queues_) {
-      q.clear();
-    }
-    if (queues_.empty()) {
-      return false;  // no machine shape to restore onto
-    }
-    const uint64_t live = queues_.size();
-    uint64_t cursor = 0;
-    if (!in->U64(&cursor)) {
-      return false;
-    }
-    // Cross-machine renormalization: cores remap by % live rather than being
-    // dropped, so a group keeps *a* stable home on the smaller machine.
-    next_group_cpu_ = static_cast<int>(cursor % live);
-    uint64_t ngroups = 0;
-    if (!in->U64(&ngroups) || ngroups > (1u << 24)) {
-      return false;
-    }
-    for (uint64_t i = 0; i < ngroups; ++i) {
-      uint64_t group = 0, cpu = 0;
-      if (!in->U64(&group) || !in->U64(&cpu)) {
-        return false;
-      }
-      group_cpu_[group] = static_cast<int>(cpu % live);
-    }
-    uint64_t npids = 0;
-    if (!in->U64(&npids) || npids > (1u << 24)) {
-      return false;
-    }
-    for (uint64_t i = 0; i < npids; ++i) {
-      uint64_t pid = 0, group = 0;
-      if (!in->U64(&pid) || !in->U64(&group)) {
-        return false;
-      }
-      // Pids are dense and assigned from 1; reject absurd payloads even when
-      // the checksum happened to pass.
-      if (pid == 0 || pid > (1u << 24)) {
-        return false;
-      }
-      group_of_[pid] = group;
-    }
-    return !in->overrun();
+    return DecodeThenCommit(this, &lock_, env_ != nullptr, version, in, &LocalitySched::Reset,
+                            &LocalitySched::Commit);
   }
 
  private:
+  using Entry = std::pair<uint64_t, uint64_t>;
+
+  struct Snapshot {
+    uint64_t next_group_cpu = 0;
+    std::vector<Entry> group_cpu;  // group -> core
+    std::vector<Entry> group_of;   // pid -> group
+    void Fields(FieldIo& io) {
+      io.U64(next_group_cpu);
+      io.List(group_cpu, 0, kMaxCheckpointId, [&](Entry& e) {
+        io.U64(e.first);
+        io.U64(e.second);
+      });
+      io.List(group_of, 0, kMaxCheckpointId, [&](Entry& e) {
+        io.U64(e.first, 1, kMaxCheckpointId);  // pids are dense, assigned from 1
+        io.U64(e.second);
+      });
+    }
+  };
+
+  // Fresh per-CPU shape, shared by Attach and LoadCheckpoint.
+  void Reset() {
+    queues_.assign(LiveCpus(), {});
+    tokens_.clear();
+    group_of_.clear();
+    group_cpu_.clear();
+    next_group_cpu_ = 0;
+  }
+  // Cross-machine renormalization: cores remap by % live rather than being
+  // dropped, so a group keeps *a* stable home on a smaller machine.
+  void Commit(const Snapshot& s) {
+    const size_t live = queues_.size();
+    next_group_cpu_ = static_cast<int>(OntoLive(s.next_group_cpu, live));
+    for (const auto& [group, cpu] : s.group_cpu) {
+      group_cpu_[group] = static_cast<int>(OntoLive(cpu, live));
+    }
+    for (const auto& [pid, group] : s.group_of) {
+      group_of_[pid] = group;
+    }
+  }
+
   void Enqueue(uint64_t pid, Schedulable sched) {
     SpinLockGuard g(lock_);
     queues_[sched.cpu()].push_back(pid);

@@ -18,7 +18,6 @@
 #ifndef SRC_SCHED_NEST_H_
 #define SRC_SCHED_NEST_H_
 
-#include <algorithm>
 #include <deque>
 #include <unordered_map>
 #include <vector>
@@ -41,10 +40,7 @@ class NestSched : public EnokiSched {
   void Attach(EnokiKernelEnv* env) override {
     EnokiSched::Attach(env);
     if (queues_.empty()) {
-      const size_t n = static_cast<size_t>(env->NumCpus());
-      queues_.resize(n);
-      last_used_.assign(n, 0);
-      running_.assign(n, 0);
+      Reset();
     }
   }
 
@@ -170,52 +166,14 @@ class NestSched : public EnokiSched {
   // warm before the crash instead of scattering them cold.
   bool SaveCheckpoint(ByteWriter* out) const override {
     SpinLockGuard g(lock_);
-    out->U64(last_used_.size());
-    for (Time t : last_used_) {
-      out->U64(static_cast<uint64_t>(t));
-    }
-    return true;
+    return EncodeFields(out, CheckpointVersion(), Snapshot{last_used_});
   }
 
   uint32_t CheckpointVersion() const override { return 1; }
 
   bool LoadCheckpoint(uint32_t version, ByteReader* in) override {
-    if (version != 1) {
-      return false;
-    }
-    SpinLockGuard g(lock_);
-    tokens_.clear();
-    if (queues_.empty() && env_ != nullptr) {
-      const size_t n = static_cast<size_t>(env_->NumCpus());
-      queues_.resize(n);
-      last_used_.assign(n, 0);
-      running_.assign(n, 0);
-    }
-    for (auto& q : queues_) {
-      q.clear();
-    }
-    std::fill(running_.begin(), running_.end(), 0);
-    if (last_used_.empty()) {
-      return false;  // no machine shape to restore onto
-    }
-    uint64_t ncpus = 0;
-    if (!in->U64(&ncpus) || ncpus == 0 || ncpus > 4096) {
-      return false;
-    }
-    // Cross-machine renormalization: saved recency folds onto live CPUs by
-    // cpu % live keeping the *most recent* use (the folded core is warm if
-    // any of its sources were); a grown machine's extra cores start cold.
-    std::fill(last_used_.begin(), last_used_.end(), 0);
-    const uint64_t live = last_used_.size();
-    for (uint64_t cpu = 0; cpu < ncpus; ++cpu) {
-      uint64_t t = 0;
-      if (!in->U64(&t)) {
-        return false;
-      }
-      Time& slot = last_used_[static_cast<size_t>(cpu % live)];
-      slot = std::max(slot, static_cast<Time>(t));
-    }
-    return !in->overrun();
+    return DecodeThenCommit(this, &lock_, env_ != nullptr, version, in, &NestSched::Reset,
+                            &NestSched::Commit);
   }
 
   // Introspection: how many cores are currently warm.
@@ -232,6 +190,28 @@ class NestSched : public EnokiSched {
   }
 
  private:
+  struct Snapshot {
+    std::vector<uint64_t> last_used;  // one per saved CPU
+    void Fields(FieldIo& io) {
+      io.List(last_used, 1, kMaxCheckpointCpus, [&](uint64_t& t) { io.U64(t); });
+    }
+  };
+
+  // Fresh per-CPU shape, shared by Attach and LoadCheckpoint.
+  void Reset() {
+    const size_t n = LiveCpus();
+    queues_.assign(n, {});
+    tokens_.clear();
+    last_used_.assign(n, 0);
+    running_.assign(n, 0);
+  }
+  // Cross-machine renormalization: saved recency folds onto live CPUs by
+  // cpu % live keeping the *most recent* use (the folded core is warm if any
+  // of its sources were); a grown machine's extra cores start cold.
+  void Commit(const Snapshot& s) {
+    last_used_ = FoldOntoLive<Fold::kMax>(s.last_used, last_used_.size(), Time{0});
+  }
+
   void Enqueue(uint64_t pid, Schedulable sched) {
     SpinLockGuard g(lock_);
     const int cpu = sched.cpu();

@@ -45,10 +45,7 @@ class ShinjukuSched : public EnokiSched {
       worker_cpus_ = CpuMask::All(env->NumCpus());
     }
     if (queues_.empty()) {
-      const size_t n = static_cast<size_t>(env->NumCpus());
-      queues_.resize(n);
-      timer_armed_.assign(n, false);
-      running_.assign(n, 0);
+      Reset();
     }
   }
 
@@ -193,32 +190,12 @@ class ShinjukuSched : public EnokiSched {
   // colliding with pre-crash history.
   bool SaveCheckpoint(ByteWriter* out) const override {
     SpinLockGuard g(lock_);
-    out->U64(next_seq_);
-    return true;
+    return EncodeFields(out, CheckpointVersion(), Snapshot{next_seq_});
   }
   uint32_t CheckpointVersion() const override { return 1; }
   bool LoadCheckpoint(uint32_t version, ByteReader* in) override {
-    if (version != 1) {
-      return false;
-    }
-    SpinLockGuard g(lock_);
-    tokens_.clear();
-    // A rollback target had its vectors moved out by ReregisterPrepare.
-    if (queues_.empty() && env_ != nullptr) {
-      const size_t n = static_cast<size_t>(env_->NumCpus());
-      queues_.resize(n);
-      timer_armed_.assign(n, false);
-    }
-    for (auto& q : queues_) {
-      q.clear();
-    }
-    running_.assign(queues_.size(), 0);
-    uint64_t seq = 0;
-    if (!in->U64(&seq) || seq == 0) {
-      return false;
-    }
-    next_seq_ = seq;
-    return !in->overrun();
+    return DecodeThenCommit(this, &lock_, env_ != nullptr, version, in, &ShinjukuSched::Reset,
+                            &ShinjukuSched::Commit);
   }
 
   size_t QueueDepth(int cpu) {
@@ -239,6 +216,22 @@ class ShinjukuSched : public EnokiSched {
   };
 
  private:
+  struct Snapshot {
+    uint64_t next_seq = 1;
+    void Fields(FieldIo& io) { io.U64(next_seq, 1); }
+  };
+
+  // Fresh per-CPU shape, shared by Attach, ReregisterPrepare and LoadCheckpoint.
+  void Reset() {
+    const size_t n = LiveCpus();
+    queues_.assign(n, {});
+    tokens_.clear();
+    running_.assign(n, 0);
+    timer_armed_.assign(n, false);
+    next_seq_ = 1;
+  }
+  void Commit(const Snapshot& s) { next_seq_ = s.next_seq; }
+
   void Arrive(uint64_t pid, Schedulable sched) {
     SpinLockGuard g(lock_);
     const int cpu = sched.cpu();
@@ -305,9 +298,7 @@ inline TransferState ShinjukuSched::ReregisterPrepare() {
   t->tokens = std::move(tokens_);
   t->running = std::move(running_);
   t->next_seq = next_seq_;
-  queues_.clear();
-  tokens_.clear();
-  running_.clear();
+  Reset();
   return TransferState::Of(std::move(t));
 }
 

@@ -247,10 +247,7 @@ TransferState WfqSched::ReregisterPrepare() {
   t->tokens = std::move(tokens_);
   t->queues = std::move(queues_);
   t->min_vruntime = std::move(min_vruntime_);
-  entities_.clear();
-  tokens_.clear();
-  queues_.clear();
-  min_vruntime_.clear();
+  Reset();
   return TransferState::Of(std::move(t));
 }
 
@@ -271,122 +268,58 @@ void WfqSched::ReregisterInit(TransferState state) {
 
 bool WfqSched::SaveCheckpoint(ByteWriter* out) const {
   SpinLockGuard g(lock_);
-  out->U64(min_vruntime_.size());
-  for (uint64_t v : min_vruntime_) {
-    out->U64(v);
-  }
-  uint64_t nlive = 0;
-  for (const Entity& e : entities_) {
-    if (e.live) {
-      ++nlive;
-    }
-  }
-  out->U64(nlive);
+  Snapshot s;
+  s.min_vruntime = min_vruntime_;
   for (uint64_t pid = 0; pid < entities_.size(); ++pid) {
     const Entity& e = entities_[pid];
-    if (!e.live) {
-      continue;
+    if (e.live) {
+      s.ents.push_back({pid, e.vruntime, e.weight, e.last_runtime, e.slice_start_runtime,
+                        static_cast<uint64_t>(e.cpu)});
     }
-    out->U64(pid);
-    out->U64(e.vruntime);
-    out->U64(e.weight);
-    out->U64(static_cast<uint64_t>(e.last_runtime));
-    out->U64(static_cast<uint64_t>(e.slice_start_runtime));
-    out->U64(static_cast<uint64_t>(e.cpu));
   }
-  return true;
+  return EncodeFields(out, CheckpointVersion(), std::move(s));
 }
 
 bool WfqSched::LoadCheckpoint(uint32_t version, ByteReader* in) {
-  if (version != 1 && version != 2) {
-    return false;
-  }
-  SpinLockGuard g(lock_);
-  // Queue membership and tokens are deliberately absent from checkpoints:
-  // the runtime re-injects queued tasks as fresh wakeups after the restore,
-  // so every restored entity starts parked (not queued, not running).
+  return DecodeThenCommit(this, &lock_, env_ != nullptr, version, in, &WfqSched::Reset,
+                          &WfqSched::Commit);
+}
+
+void WfqSched::Reset() {
   entities_.clear();
   tokens_.clear();
-  // A rollback target had its vectors moved out by ReregisterPrepare;
-  // rebuild the per-CPU structures before restoring into them.
-  if (queues_.empty() && env_ != nullptr) {
-    queues_.resize(static_cast<size_t>(env_->NumCpus()));
-    min_vruntime_.assign(static_cast<size_t>(env_->NumCpus()), 0);
-  }
-  for (auto& q : queues_) {
-    q.clear();
-  }
-  if (min_vruntime_.empty()) {
-    return false;  // detached instance with no machine shape to restore onto
-  }
-  uint64_t ncpus = 0;
-  if (!in->U64(&ncpus) || ncpus == 0 || ncpus > 4096) {
-    return false;
-  }
+  queues_.assign(LiveCpus(), {});
+  min_vruntime_.assign(LiveCpus(), 0);
+}
+
+// Queue membership and tokens are deliberately absent from checkpoints: the
+// runtime re-injects queued tasks as fresh wakeups after the restore, so
+// every restored entity starts parked (not queued, not running).
+void WfqSched::Commit(const Snapshot& s) {
+  const size_t live = queues_.size();
   // A checkpoint from a differently-sized machine renormalizes onto this
-  // one instead of dropping state. Saved per-CPU vruntime baselines are
-  // remapped by cpu % live: shrinking folds several saved cursors onto one
-  // live CPU, keeping the *minimum* (entities restored onto that CPU carry
-  // vruntimes measured against their old cursor, and a too-high baseline
-  // would starve them behind fresh arrivals). Growing seeds the extra CPUs
-  // from the global minimum so they join at the fair frontier rather than
-  // at 0 (which would let their first tasks monopolize the machine).
-  std::vector<uint64_t> saved(static_cast<size_t>(ncpus), 0);
-  uint64_t global_min = ~uint64_t{0};
-  for (uint64_t cpu = 0; cpu < ncpus; ++cpu) {
-    if (!in->U64(&saved[cpu])) {
-      return false;
-    }
-    global_min = std::min(global_min, saved[cpu]);
-  }
-  const size_t live = min_vruntime_.size();
-  std::fill(min_vruntime_.begin(), min_vruntime_.end(), ~uint64_t{0});
-  for (uint64_t cpu = 0; cpu < ncpus; ++cpu) {
-    uint64_t& slot = min_vruntime_[static_cast<size_t>(cpu % live)];
-    slot = std::min(slot, saved[cpu]);
-  }
-  for (uint64_t& v : min_vruntime_) {
-    if (v == ~uint64_t{0}) {
-      v = global_min;
-    }
-  }
-  uint64_t nlive = 0;
-  if (!in->U64(&nlive)) {
-    return false;
-  }
-  for (uint64_t i = 0; i < nlive; ++i) {
-    uint64_t pid = 0, vruntime = 0, weight = 0, last_runtime = 0;
-    uint64_t slice_start = 0, cpu = 0;
-    if (!in->U64(&pid) || !in->U64(&vruntime) || !in->U64(&weight) || !in->U64(&last_runtime)) {
-      return false;
-    }
-    if (version >= 2 && !in->U64(&slice_start)) {
-      return false;
-    }
-    if (!in->U64(&cpu)) {
-      return false;
-    }
-    // Sanity bounds: pids are dense and assigned from 1; reject a payload
-    // that would force an absurd resize even if its checksum happened to
-    // pass (e.g. a version-confused writer).
-    if (pid == 0 || pid > (1u << 24) || weight == 0) {
-      return false;
-    }
-    Entity& e = EntSlot(pid);
+  // one instead of dropping state. Shrinking folds several saved vruntime
+  // baselines onto one live CPU, keeping the *minimum* (entities restored
+  // onto that CPU carry vruntimes measured against their old cursor, and a
+  // too-high baseline would starve them behind fresh arrivals). Growing
+  // seeds the extra CPUs from the global minimum so they join at the fair
+  // frontier rather than at 0 (which would let their first tasks monopolize
+  // the machine).
+  min_vruntime_ = FoldOntoLive<Fold::kMin>(
+      s.min_vruntime, live, *std::min_element(s.min_vruntime.begin(), s.min_vruntime.end()));
+  for (const Snapshot::Ent& saved : s.ents) {
+    Entity& e = EntSlot(saved.pid);
     e = Entity{};
     e.live = true;
-    e.vruntime = vruntime;
-    e.weight = weight;
-    e.last_runtime = static_cast<Duration>(last_runtime);
-    // v1 predates slice_start_runtime; seed it from the runtime watermark.
-    e.slice_start_runtime = version >= 2 ? static_cast<Duration>(slice_start)
-                                         : static_cast<Duration>(last_runtime);
-    // Placement cursors renormalize with the same cpu % live remap as the
-    // vruntime baselines, so an entity folded onto a live CPU lands next to
-    // the baseline its vruntime is measured against.
-    e.cpu = static_cast<int>(cpu % queues_.size());
+    e.vruntime = saved.vruntime;
+    e.weight = saved.weight;
+    e.last_runtime = saved.last_runtime;
+    e.slice_start_runtime = saved.slice_start;
+    // Placement cursors fold with the same cpu % live remap as the
+    // baselines, so an entity lands next to the baseline its vruntime is
+    // measured against.
+    e.cpu = static_cast<int>(OntoLive(saved.cpu, live));
   }
-  return !in->overrun();
 }
 
 size_t WfqSched::QueueDepth(int cpu) {

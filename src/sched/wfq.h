@@ -59,8 +59,7 @@ class WfqSched : public EnokiSched {
   void Attach(EnokiKernelEnv* env) override {
     EnokiSched::Attach(env);
     if (queues_.empty()) {
-      queues_.resize(static_cast<size_t>(env->NumCpus()));
-      min_vruntime_.assign(static_cast<size_t>(env->NumCpus()), 0);
+      Reset();
     }
   }
 
@@ -85,10 +84,7 @@ class WfqSched : public EnokiSched {
   TransferState ReregisterPrepare() override;
   void ReregisterInit(TransferState state) override;
 
-  // Checkpoint format v2: per-CPU min_vruntime cursors plus per-entity
-  // accounting (vruntime, weight, runtime watermarks, home cpu). v1 (an
-  // earlier format without slice_start_runtime) is still accepted by
-  // LoadCheckpoint, demonstrating cross-version restores.
+  // Checkpoint format v2; v1 payloads still load (see Snapshot).
   bool SaveCheckpoint(ByteWriter* out) const override;
   uint32_t CheckpointVersion() const override { return 2; }
   bool LoadCheckpoint(uint32_t version, ByteReader* in) override;
@@ -99,6 +95,38 @@ class WfqSched : public EnokiSched {
   uint64_t WeightOf(uint64_t pid);
 
  private:
+  // Checkpoint payload: per-CPU min_vruntime cursors plus each live entity's
+  // accounting. v1 predates slice_start_runtime, demonstrating cross-version
+  // restores.
+  struct Snapshot {
+    struct Ent {
+      uint64_t pid = 0;
+      uint64_t vruntime = 0;
+      uint64_t weight = 0;
+      uint64_t last_runtime = 0;
+      uint64_t slice_start = 0;
+      uint64_t cpu = 0;
+    };
+    std::vector<uint64_t> min_vruntime;  // one per saved CPU
+    std::vector<Ent> ents;
+    void Fields(FieldIo& io) {
+      io.List(min_vruntime, 1, kMaxCheckpointCpus, [&](uint64_t& v) { io.U64(v); });
+      io.List(ents, 0, ~uint64_t{0}, [&](Ent& e) {
+        io.U64(e.pid, 1, kMaxCheckpointId);
+        io.U64(e.vruntime);
+        io.U64(e.weight, 1);
+        io.U64(e.last_runtime);
+        io.Since(2, e.slice_start, e.last_runtime);  // v1: the runtime watermark
+        io.U64(e.cpu);
+      });
+    }
+  };
+
+  // Fresh per-CPU shape, shared by Attach, ReregisterPrepare and
+  // LoadCheckpoint. Caller holds lock_ (or is in Attach).
+  void Reset();
+  void Commit(const Snapshot& s);
+
   // Folds new runtime into vruntime. Caller holds lock_.
   void Account(Entity& e, Duration runtime);
   void EnqueueLocked(uint64_t pid, Entity& e, int cpu);

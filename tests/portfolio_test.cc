@@ -1,8 +1,9 @@
 // Tests for the sched_ext policy portfolio: central, pair, layered, and
 // rusty as Enoki modules. Covers the ravg load-tracking utility, the
 // MachineSpec topology extensions (SMT sibling pairs, explicit NUMA node
-// maps), each policy's versioned checkpoint (round-trip + malformed-payload
-// rejection), paired-workload determinism via double-run fingerprints,
+// maps), rusty's checkpointed load history (every policy's checkpoint codec
+// is pinned and fuzzed in recovery_test), paired-workload determinism via
+// double-run fingerprints,
 // policy-specific behavior (cookie stalls, layer carving, central pulses,
 // cross-domain steals), supervisor restart-from-checkpoint per policy, and
 // live upgrades between portfolio policies — including the cross-policy
@@ -65,54 +66,6 @@ TEST(RunningAvg, DroppedInputHalvesPerWindow) {
   EXPECT_EQ(prev, 4u);
 }
 
-TEST(RunningAvg, SaveLoadRoundTripsMidWindow) {
-  RunningAvg a(Milliseconds(5));
-  a.Set(Microseconds(100), 40);
-  a.Set(Microseconds(700), 90);
-  (void)a.Read(Milliseconds(12));  // cross windows, land mid-window
-  a.Set(Milliseconds(12) + Microseconds(3), 10);
-
-  ByteWriter w;
-  a.Save(&w);
-  const std::vector<uint8_t> bytes = w.Take();
-  EXPECT_EQ(bytes.size(), 5 * sizeof(uint64_t));
-
-  RunningAvg b(Milliseconds(5));
-  ByteReader r(bytes);
-  ASSERT_TRUE(b.Load(&r));
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(b.current(), a.current());
-  const Time probe = Milliseconds(13);
-  EXPECT_EQ(b.Read(probe), a.Read(probe));
-}
-
-TEST(RunningAvg, LoadRejectsTruncationAndInvertedClock) {
-  RunningAvg a;
-  a.Set(Milliseconds(1), 7);
-  ByteWriter w;
-  a.Save(&w);
-  std::vector<uint8_t> bytes = w.Take();
-  bytes.resize(bytes.size() - 1);  // truncated payload
-  {
-    ByteReader r(bytes);
-    RunningAvg b;
-    EXPECT_FALSE(b.Load(&r));
-  }
-  {
-    // last < window_start is impossible for monotonic simulated time.
-    ByteWriter bad;
-    bad.U64(1000);  // window_start
-    bad.U64(500);   // last, behind window_start
-    bad.U64(0);
-    bad.U64(0);
-    bad.U64(0);
-    const std::vector<uint8_t> bb = bad.Take();
-    ByteReader r(bb);
-    RunningAvg b;
-    EXPECT_FALSE(b.Load(&r));
-  }
-}
-
 // ---- MachineSpec topology ----
 
 TEST(MachineSpec, DefaultTopologyIsByteCompatible) {
@@ -159,7 +112,7 @@ TEST(MachineSpec, PortfolioBoxHasBothSmtAndNuma) {
   }
 }
 
-// ---- Per-policy checkpoints (replay environment, no kernel) ----
+// ---- Checkpointed load history (replay environment, no kernel) ----
 
 TaskMessage Msg(uint64_t pid, int cpu, int nice = 0, Duration runtime = 0) {
   TaskMessage msg;
@@ -171,167 +124,23 @@ TaskMessage Msg(uint64_t pid, int cpu, int nice = 0, Duration runtime = 0) {
   return msg;
 }
 
-// ReplayEnv models a flat machine (node 0, no SMT). The pair and rusty
-// policies are topology-driven, so their checkpoint tests use this richer
-// stand-in instead.
-class TopoReplayEnv : public ReplayEnv {
+// ReplayEnv models a flat machine (node 0). Rusty balances per NUMA node, so
+// its checkpoint test uses this stand-in with `nodes` equal nodes.
+class NodeReplayEnv : public ReplayEnv {
  public:
-  TopoReplayEnv(int ncpus, int nodes, bool smt) : ReplayEnv(ncpus), nodes_(nodes), smt_(smt) {}
+  NodeReplayEnv(int ncpus, int nodes) : ReplayEnv(ncpus), nodes_(nodes) {}
 
   int NodeOf(int cpu) const override {
     const int per = NumCpus() / nodes_;
     return per > 0 ? cpu / per : 0;
   }
-  int SiblingOf(int cpu) const override { return smt_ ? cpu ^ 1 : -1; }
 
  private:
   int nodes_;
-  bool smt_;
 };
 
-TEST(CentralCheckpoint, RoundTripRestoresSequenceCursor) {
-  ReplayEnv env(4);
-  CentralSched a(0);
-  a.Attach(&env);
-  a.TaskNew(Msg(1, 1), SchedulableMinter::Mint(1, 1, 1));
-  a.TaskNew(Msg(2, 2), SchedulableMinter::Mint(2, 2, 1));
-
-  ByteWriter w;
-  ASSERT_TRUE(a.SaveCheckpoint(&w));
-  const std::vector<uint8_t> bytes = w.Take();
-
-  CentralSched b(0);
-  b.Attach(&env);
-  ByteReader r(bytes);
-  ASSERT_TRUE(b.LoadCheckpoint(a.CheckpointVersion(), &r));
-  // The restored cursor continues the arrival order: a task enqueued after
-  // restore must not collide with pre-checkpoint sequence numbers. Verified
-  // indirectly: save again and compare payloads.
-  ByteWriter w2;
-  ASSERT_TRUE(b.SaveCheckpoint(&w2));
-  EXPECT_EQ(bytes, w2.Take());
-}
-
-TEST(CentralCheckpoint, RejectsWrongVersionTruncationAndGarbage) {
-  ReplayEnv env(4);
-  CentralSched b(0);
-  b.Attach(&env);
-  {
-    ByteWriter w;
-    w.U64(5);
-    const std::vector<uint8_t> bytes = w.Take();
-    ByteReader r(bytes);
-    EXPECT_FALSE(b.LoadCheckpoint(/*version=*/99, &r));
-  }
-  {
-    const std::vector<uint8_t> empty;
-    ByteReader r(empty);
-    EXPECT_FALSE(b.LoadCheckpoint(b.CheckpointVersion(), &r));
-  }
-  {
-    ByteWriter w;
-    w.U64(0);  // a zero cursor is never written by SaveCheckpoint
-    const std::vector<uint8_t> bytes = w.Take();
-    ByteReader r(bytes);
-    EXPECT_FALSE(b.LoadCheckpoint(b.CheckpointVersion(), &r));
-  }
-}
-
-TEST(PairCheckpoint, RoundTripRestoresCookies) {
-  TopoReplayEnv env(4, 1, /*smt=*/true);
-  PairSched a(0);
-  a.Attach(&env);
-  a.TaskNew(Msg(1, 0), SchedulableMinter::Mint(1, 0, 1));
-  a.TaskNew(Msg(2, 2), SchedulableMinter::Mint(2, 2, 1));
-  HintBlob h1;
-  h1.w[0] = 1;
-  h1.w[1] = 7;
-  a.ParseHint(h1);
-  HintBlob h2;
-  h2.w[0] = 2;
-  h2.w[1] = 9;
-  a.ParseHint(h2);
-  ASSERT_EQ(a.CookieOf(1), 7u);
-
-  ByteWriter w;
-  ASSERT_TRUE(a.SaveCheckpoint(&w));
-  const std::vector<uint8_t> bytes = w.Take();
-
-  PairSched b(0);
-  b.Attach(&env);
-  ByteReader r(bytes);
-  ASSERT_TRUE(b.LoadCheckpoint(a.CheckpointVersion(), &r));
-  // Cookies are hint-derived state: they must survive, or the security
-  // constraint silently evaporates on restart.
-  EXPECT_EQ(b.CookieOf(1), 7u);
-  EXPECT_EQ(b.CookieOf(2), 9u);
-  EXPECT_EQ(b.CookieOf(3), 0u);
-}
-
-TEST(PairCheckpoint, RejectsMalformedPayloadAndStaysFresh) {
-  TopoReplayEnv env(4, 1, /*smt=*/true);
-  PairSched b(0);
-  b.Attach(&env);
-  {
-    ByteWriter w;
-    w.U64(3);        // next_seq
-    w.U64(1000000);  // claims a million cookie entries
-    const std::vector<uint8_t> bytes = w.Take();
-    ByteReader r(bytes);
-    EXPECT_FALSE(b.LoadCheckpoint(b.CheckpointVersion(), &r));
-  }
-  // A failed load leaves the module usable and fresh.
-  EXPECT_EQ(b.CookieOf(1), 0u);
-  b.TaskNew(Msg(5, 0), SchedulableMinter::Mint(5, 0, 1));
-  EXPECT_EQ(b.QueueDepth(0), 1u);
-}
-
-TEST(LayeredCheckpoint, RoundTripRestoresVtimes) {
-  ReplayEnv env(8);
-  LayeredSched a(0, LayeredSched::DefaultThreeTier(8));
-  a.Attach(&env);
-  a.TaskNew(Msg(1, 0, /*nice=*/-10), SchedulableMinter::Mint(1, 0, 1));
-  a.TaskNew(Msg(2, 1, /*nice=*/0), SchedulableMinter::Mint(2, 1, 1));
-  a.TaskTick(0, 1, Milliseconds(2));  // advance the hot layer's vtime
-
-  ByteWriter w;
-  ASSERT_TRUE(a.SaveCheckpoint(&w));
-  const std::vector<uint8_t> bytes = w.Take();
-
-  LayeredSched b(0, LayeredSched::DefaultThreeTier(8));
-  b.Attach(&env);
-  ByteReader r(bytes);
-  ASSERT_TRUE(b.LoadCheckpoint(a.CheckpointVersion(), &r));
-  for (int l = 0; l < b.nlayers(); ++l) {
-    EXPECT_EQ(b.VtimeOf(l), a.VtimeOf(l)) << "layer " << l;
-  }
-}
-
-TEST(LayeredCheckpoint, RejectsLayerCountMismatch) {
-  ReplayEnv env(8);
-  LayeredSched a(0, LayeredSched::DefaultThreeTier(8));
-  a.Attach(&env);
-  ByteWriter w;
-  ASSERT_TRUE(a.SaveCheckpoint(&w));
-  const std::vector<uint8_t> bytes = w.Take();
-
-  // A two-layer successor cannot adopt a three-layer vtime vector: layer
-  // identity would be ambiguous, so the load must fail cleanly.
-  std::vector<LayerSpec> two;
-  LayerSpec hot;
-  hot.name = "hot";
-  two.push_back(hot);
-  LayerSpec cold;
-  cold.name = "cold";
-  two.push_back(cold);
-  LayeredSched b(0, two);
-  b.Attach(&env);
-  ByteReader r(bytes);
-  EXPECT_FALSE(b.LoadCheckpoint(a.CheckpointVersion(), &r));
-}
-
 TEST(RustyCheckpoint, DomainLoadHistorySurvives) {
-  TopoReplayEnv env(8, 2, /*smt=*/false);
+  NodeReplayEnv env(8, 2);
   RustySched a(0);
   a.Attach(&env);
   ASSERT_EQ(a.ndomains(), 2);
@@ -357,63 +166,6 @@ TEST(RustyCheckpoint, DomainLoadHistorySurvives) {
   // rebuilds by re-injection — must match the donor exactly.
   EXPECT_EQ(b.DomainLoad(0), a.DomainLoad(0));
   EXPECT_EQ(b.DomainLoad(1), a.DomainLoad(1));
-}
-
-TEST(RustyCheckpoint, RejectsZeroAndAbsurdDomainCounts) {
-  TopoReplayEnv env(8, 2, /*smt=*/false);
-  RustySched b(0);
-  b.Attach(&env);
-  {
-    ByteWriter w;
-    w.U64(1);  // next_seq
-    w.U64(0);  // zero domains
-    const std::vector<uint8_t> bytes = w.Take();
-    ByteReader r(bytes);
-    EXPECT_FALSE(b.LoadCheckpoint(b.CheckpointVersion(), &r));
-  }
-  {
-    ByteWriter w;
-    w.U64(1);
-    w.U64(1000);  // absurd domain count
-    const std::vector<uint8_t> bytes = w.Take();
-    ByteReader r(bytes);
-    EXPECT_FALSE(b.LoadCheckpoint(b.CheckpointVersion(), &r));
-  }
-}
-
-TEST(ShinjukuCheckpoint, RoundTripAndRejects) {
-  ReplayEnv env(4);
-  ShinjukuSched a(0);
-  a.Attach(&env);
-  a.TaskNew(Msg(1, 0), SchedulableMinter::Mint(1, 0, 1));
-  a.TaskNew(Msg(2, 1), SchedulableMinter::Mint(2, 1, 1));
-  const uint64_t seq_before = a.next_seq();
-  EXPECT_GT(seq_before, 1u);
-
-  ByteWriter w;
-  ASSERT_TRUE(a.SaveCheckpoint(&w));
-  const std::vector<uint8_t> bytes = w.Take();
-
-  ShinjukuSched b(0);
-  b.Attach(&env);
-  ByteReader r(bytes);
-  ASSERT_TRUE(b.LoadCheckpoint(a.CheckpointVersion(), &r));
-  EXPECT_EQ(b.next_seq(), seq_before);
-
-  ShinjukuSched c(0);
-  c.Attach(&env);
-  {
-    ByteWriter bad;
-    bad.U64(0);
-    const std::vector<uint8_t> bb = bad.Take();
-    ByteReader rr(bb);
-    EXPECT_FALSE(c.LoadCheckpoint(c.CheckpointVersion(), &rr));
-  }
-  {
-    const std::vector<uint8_t> empty;
-    ByteReader rr(empty);
-    EXPECT_FALSE(c.LoadCheckpoint(c.CheckpointVersion(), &rr));
-  }
 }
 
 // ---- Paired-workload determinism and behavior ----

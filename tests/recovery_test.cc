@@ -1,19 +1,23 @@
 // Tests for the deepened recovery ladder: the CheckpointStore generation
 // ring, metadata-sealed checksums, periodic CheckpointNow() cadence,
 // per-policy probation budgets, version-fingerprint flap damping,
-// cross-MachineSpec checkpoint renormalization, and the versioned v1
-// checkpoint formats of the locality / nest / ghost policies. The capstone
-// is a 100-seed sweep mixing upgrade-boundary faults with ring-slot bit-rot
+// cross-MachineSpec checkpoint renormalization, and one table over every
+// policy's checkpoint codec: payloads and verdicts pinned as literals,
+// each rejection as its own row, refused loads leaving the module fresh, and
+// a seeded mutation fuzzer. The capstone is a 100-seed sweep mixing upgrade-boundary faults with ring-slot bit-rot
 // and crash-during-CheckpointNow, asserting zero task loss and
 // byte-identical fallback order (restore timelines) across reruns.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/enoki/checkpoint.h"
 #include "src/enoki/replay.h"
 #include "src/enoki/runtime.h"
@@ -22,11 +26,16 @@
 #include "src/fault/watchdog.h"
 #include "src/sched/cfs.h"
 #include "src/sched/ext/central.h"
+#include "src/sched/ext/layered.h"
+#include "src/sched/ext/pair.h"
+#include "src/sched/ext/ravg.h"
 #include "src/sched/ext/rusty.h"
+#include "src/sched/fifo.h"
 #include "src/sched/ghost.h"
 #include "src/sched/locality.h"
 #include "src/sched/nest.h"
 #include "src/sched/nice_weights.h"
+#include "src/sched/shinjuku.h"
 #include "src/sched/wfq.h"
 #include "src/simkernel/sched_core.h"
 #include "src/workloads/pipe.h"
@@ -146,7 +155,7 @@ TEST(DefaultProbation, PoliciesDeclareTheirOwnBudgets) {
   EXPECT_EQ(inj.VersionFingerprint(), CentralSched(0).VersionFingerprint());
 }
 
-// ---- Policy checkpoint round-trips (locality / nest / ghost) ----
+// ---- Checkpoint renormalization across machine shapes (locality / nest) ----
 
 TaskMessage Msg(uint64_t pid, int cpu, int nice = 0) {
   TaskMessage msg;
@@ -200,38 +209,6 @@ TEST(LocalityCheckpoint, RoundTripKeepsCoLocationAcrossMachineShapes) {
   EXPECT_EQ(home1, c.SelectTaskRq(Msg(2, 0)));
 }
 
-TEST(LocalityCheckpoint, RejectsWrongVersionTruncationAndGarbage) {
-  ReplayEnv env(2);
-  LocalitySched s(0, /*use_hints=*/true);
-  s.Attach(&env);
-
-  ByteWriter w;
-  w.U64(1);  // cursor
-  w.U64(0);  // no groups
-  w.U64(0);  // no pids
-  const std::vector<uint8_t> good = w.bytes();
-  {
-    ByteReader r(good);
-    EXPECT_FALSE(s.LoadCheckpoint(2, &r));  // unknown future version
-  }
-  {
-    std::vector<uint8_t> truncated(good.begin(), good.begin() + 10);
-    ByteReader r(truncated);
-    EXPECT_FALSE(s.LoadCheckpoint(1, &r));
-  }
-  {
-    ByteWriter bad;
-    bad.U64(0);
-    bad.U64(0);
-    bad.U64(1);  // one membership...
-    bad.U64(0);  // ...for pid 0 (pids are assigned from 1)
-    bad.U64(3);
-    const std::vector<uint8_t> bytes = bad.Take();
-    ByteReader r(bytes);
-    EXPECT_FALSE(s.LoadCheckpoint(1, &r));
-  }
-}
-
 TEST(NestCheckpoint, RoundTripKeepsWarmCoresAndFoldsOnShrink) {
   ReplayEnv env(8);
   NestSched a(0);
@@ -273,91 +250,6 @@ TEST(NestCheckpoint, RoundTripKeepsWarmCoresAndFoldsOnShrink) {
   }
   EXPECT_EQ(c.WarmCoreCount(), 1u);
   EXPECT_EQ(c.SelectTaskRq(Msg(9, 0)), 2);
-}
-
-TEST(NestCheckpoint, RejectsWrongVersionTruncationAndGarbage) {
-  ReplayEnv env(4);
-  NestSched s(0);
-  s.Attach(&env);
-  ByteWriter w;
-  w.U64(4);
-  for (int i = 0; i < 4; ++i) {
-    w.U64(0);
-  }
-  const std::vector<uint8_t> good = w.bytes();
-  {
-    ByteReader r(good);
-    EXPECT_FALSE(s.LoadCheckpoint(2, &r));
-  }
-  {
-    std::vector<uint8_t> truncated(good.begin(), good.begin() + 12);
-    ByteReader r(truncated);
-    EXPECT_FALSE(s.LoadCheckpoint(1, &r));
-  }
-  {
-    ByteWriter bad;
-    bad.U64(100000);  // absurd cpu count
-    const std::vector<uint8_t> bytes = bad.Take();
-    ByteReader r(bytes);
-    EXPECT_FALSE(s.LoadCheckpoint(1, &r));
-  }
-}
-
-TEST(GhostCheckpoint, RoundTripRestoresAgentCursors) {
-  SchedCore core(MachineSpec::OneSocket8(), SimCosts{});
-  GhostClass a(GhostClass::Mode::kPerCpuFifo, CpuMask::All(8));
-  GhostClass b(GhostClass::Mode::kPerCpuFifo, CpuMask::All(8));
-  const int ga = core.RegisterClass(&a);
-  core.RegisterClass(&b);
-  // Creating tasks in the ghost class drives the arrival cursor, message
-  // counter, and round-robin placement cursor exactly like live traffic.
-  core.CreateTaskOn("g1", MakeFnBody([](SimContext&) { return Action::Exit(); }), ga, 0,
-                    CpuMask::All(8));
-  core.CreateTaskOn("g2", MakeFnBody([](SimContext&) { return Action::Exit(); }), ga, 0,
-                    CpuMask::All(8));
-  EXPECT_GE(a.messages(), 2u);
-
-  ByteWriter w;
-  ASSERT_TRUE(a.SaveCheckpoint(&w));
-  EXPECT_EQ(a.CheckpointVersion(), 1u);
-  const std::vector<uint8_t> bytes = w.Take();
-
-  ByteReader r(bytes);
-  ASSERT_TRUE(b.LoadCheckpoint(1, &r));
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(b.messages(), a.messages());
-  EXPECT_EQ(b.commits(), a.commits());
-}
-
-TEST(GhostCheckpoint, RejectsWrongVersionTruncationAndGarbage) {
-  SchedCore core(MachineSpec::OneSocket8(), SimCosts{});
-  GhostClass s(GhostClass::Mode::kSol, CpuMask::All(8));
-  s.Attach(&core);
-  ByteWriter w;
-  w.U64(5);  // next_seq
-  w.U64(2);  // commits
-  w.U64(9);  // messages
-  w.U64(3);  // rr cursor
-  const std::vector<uint8_t> good = w.bytes();
-  {
-    ByteReader r(good);
-    EXPECT_FALSE(s.LoadCheckpoint(2, &r));  // unknown future version
-  }
-  {
-    std::vector<uint8_t> truncated(good.begin(), good.begin() + 20);
-    ByteReader r(truncated);
-    EXPECT_FALSE(s.LoadCheckpoint(1, &r));
-  }
-  {
-    ByteWriter bad;
-    bad.U64(0);  // sequence cursors start at 1
-    bad.U64(0);
-    bad.U64(0);
-    bad.U64(0);
-    const std::vector<uint8_t> bytes = bad.Take();
-    ByteReader r(bytes);
-    EXPECT_FALSE(s.LoadCheckpoint(1, &r));
-  }
 }
 
 // ---- Cross-MachineSpec renormalization (WFQ) ----
@@ -826,6 +718,647 @@ TEST(RecoverySweep, RingFaultsHundredSeedsZeroTaskLossIdenticalFallbackOrder) {
   EXPECT_GT(seeds_with_save_crash, 0u);
   EXPECT_GT(seeds_with_rot, 0u);
   EXPECT_GT(seeds_with_fallback_walk, 0u);
+}
+
+
+// ---- One checkpoint table: every policy's codec, pinned and fuzzed ----
+//
+// Each row builds a fixed, non-trivial state for one checkpointing policy (or
+// RunningAvg) and takes its SaveCheckpoint bytes as the row's oracle payload.
+// kCkOracle pins, as literals recorded before the shared field-list codec
+// replaced the hand-written SaveCheckpoint/LoadCheckpoint pairs:
+//  - the payload bytes and CheckpointVersion();
+//  - the Save bytes of a fresh instance after loading the payload;
+//  - an FNV-1a digest over a seeded mutation corpus of each mutant's verdict
+//    and, when accepted, the Save bytes after the load.
+// The refusal, freshness and fuzz tests below run over the same rows.
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+// A freshly attached checkpointing instance plus whatever keeps it alive.
+struct CkSubject {
+  std::shared_ptr<void> env;  // declared first: destroyed after the instance
+  std::function<uint32_t()> version;
+  std::function<bool(ByteWriter*)> save;
+  std::function<bool(uint32_t, ByteReader*)> load;
+  EnokiSched* module = nullptr;  // Enoki policies: exercised after loads
+  int ncpus = 0;
+
+  std::vector<uint8_t> Save() const {
+    ByteWriter w;
+    EXPECT_TRUE(save(&w));
+    return w.Take();
+  }
+  bool Load(uint32_t v, const std::vector<uint8_t>& bytes) {
+    ByteReader r(bytes);
+    return load(v, &r);
+  }
+};
+
+template <class M>
+CkSubject Attached(std::shared_ptr<EnokiKernelEnv> env, std::shared_ptr<M> m) {
+  m->Attach(env.get());
+  CkSubject s;
+  s.env = env;
+  s.version = [m] { return m->CheckpointVersion(); };
+  s.save = [m](ByteWriter* w) { return m->SaveCheckpoint(w); };
+  s.load = [m](uint32_t v, ByteReader* r) { return m->LoadCheckpoint(v, r); };
+  s.module = m.get();
+  s.ncpus = env->NumCpus();
+  return s;
+}
+
+CkSubject GhostSubject(std::shared_ptr<SchedCore> core) {
+  auto g = std::make_shared<GhostClass>(GhostClass::Mode::kPerCpuFifo, CpuMask::All(8));
+  g->Attach(core.get());
+  CkSubject s;
+  s.env = core;
+  s.version = [g] { return g->CheckpointVersion(); };
+  s.save = [g](ByteWriter* w) { return g->SaveCheckpoint(w); };
+  s.load = [g](uint32_t v, ByteReader* r) { return g->LoadCheckpoint(v, r); };
+  return s;
+}
+
+// RunningAvg has no format version of its own; its rows load at version 0.
+CkSubject RavgSubject(std::shared_ptr<RunningAvg> avg) {
+  CkSubject s;
+  s.version = [] { return 0u; };
+  s.save = [avg](ByteWriter* w) {
+    avg->Save(w);
+    return true;
+  };
+  s.load = [avg](uint32_t, ByteReader* r) { return avg->Load(r); };
+  return s;
+}
+
+// Two NUMA nodes, so rusty has two balancing domains to checkpoint.
+class TwoNodeEnv : public ReplayEnv {
+ public:
+  explicit TwoNodeEnv(int ncpus) : ReplayEnv(ncpus) {}
+  int NodeOf(int cpu) const override { return cpu < NumCpus() / 2 ? 0 : 1; }
+};
+
+struct CkRow {
+  std::string name;
+  std::function<CkSubject()> fresh;
+  std::vector<uint8_t> payload;  // the oracle payload
+  uint32_t load_version = 0;
+  // Loads pids into pid-indexed tables (see PlantsMidSizedWord).
+  bool pid_tables = false;
+};
+
+void Hint(EnokiSched& m, uint64_t pid, uint64_t value) {
+  HintBlob h;
+  h.w[0] = pid;
+  h.w[1] = value;
+  m.ParseHint(h);
+}
+
+template <class M>
+std::vector<uint8_t> SaveOf(const M& m) {
+  ByteWriter w;
+  EXPECT_TRUE(m.SaveCheckpoint(&w));
+  return w.Take();
+}
+
+std::vector<CkRow> CkRows() {
+  std::vector<CkRow> rows;
+  auto env4 = [] { return std::make_shared<ReplayEnv>(4); };
+  {
+    // Baselines and vruntimes well above 2^24 ns so byte flips in them stay
+    // outside the mid-sized band the fuzzer redraws.
+    auto env = env4();
+    WfqSched m(0);
+    m.Attach(env.get());
+    m.TaskNew(Msg(1, 0), SchedulableMinter::Mint(1, 0, 1));
+    m.TaskNew(Msg(2, 1, /*nice=*/-5), SchedulableMinter::Mint(2, 1, 1));
+    m.TaskNew(Msg(3, 2, /*nice=*/3), SchedulableMinter::Mint(3, 2, 1));
+    (void)m.PickNextTask(0, std::nullopt);
+    m.TaskTick(0, 1, Milliseconds(30));
+    TaskMessage again = Msg(1, 0);
+    again.runtime = Milliseconds(30);
+    m.TaskPreempt(again, SchedulableMinter::Mint(1, 0, 2));
+    (void)m.PickNextTask(0, std::nullopt);  // cpu 0 baseline moves to 30ms
+    m.TaskTick(0, 1, Milliseconds(47));
+    rows.push_back({"wfq", [env4] { return Attached(env4(), std::make_shared<WfqSched>(0)); },
+                    SaveOf(m), 2, true});
+  }
+  {
+    // A v1 payload predates slice_start_runtime; it loads at version 1.
+    ByteWriter w;
+    w.U64(2);
+    w.U64(Milliseconds(20));
+    w.U64(Milliseconds(35));
+    w.U64(2);
+    for (uint64_t pid : {4, 9}) {
+      w.U64(pid);
+      w.U64(Milliseconds(30) + pid);
+      w.U64(NiceToWeight(static_cast<int>(pid) - 6));
+      w.U64(Milliseconds(40) + pid);
+      w.U64(pid % 2);
+    }
+    rows.push_back({"wfq_v1", [env4] { return Attached(env4(), std::make_shared<WfqSched>(0)); },
+                    w.Take(), 1, true});
+  }
+  {
+    auto env = env4();
+    FifoSched m(0);
+    m.Attach(env.get());
+    for (uint64_t pid = 1; pid <= 3; ++pid) {
+      TaskMessage msg = Msg(pid, 0);
+      msg.is_new = true;
+      (void)m.SelectTaskRq(msg);  // advances the round-robin cursor
+    }
+    rows.push_back({"fifo", [env4] { return Attached(env4(), std::make_shared<FifoSched>(0)); },
+                    SaveOf(m), 1});
+  }
+  {
+    auto env = env4();
+    ShinjukuSched m(0);
+    m.Attach(env.get());
+    for (uint64_t pid = 1; pid <= 3; ++pid) {
+      m.TaskNew(Msg(pid, static_cast<int>(pid)), SchedulableMinter::Mint(pid, pid, 1));
+    }
+    rows.push_back({"shinjuku",
+                    [env4] { return Attached(env4(), std::make_shared<ShinjukuSched>(0)); },
+                    SaveOf(m), 1});
+  }
+  {
+    auto env = env4();
+    LocalitySched m(0, /*use_hints=*/true);
+    m.Attach(env.get());
+    Hint(m, 1, 7);
+    Hint(m, 2, 7);
+    Hint(m, 3, 9);
+    Hint(m, 5, 11);
+    rows.push_back({"locality",
+                    [env4] {
+                      return Attached(env4(), std::make_shared<LocalitySched>(0, true));
+                    },
+                    SaveOf(m), 1});
+  }
+  {
+    auto env = env4();
+    NestSched m(0);
+    m.Attach(env.get());
+    env->SetNow(Milliseconds(50));
+    m.TaskNew(Msg(1, 2), SchedulableMinter::Mint(1, 2, 1));
+    (void)m.PickNextTask(2, std::nullopt);
+    env->SetNow(Milliseconds(80));
+    m.TaskNew(Msg(2, 3), SchedulableMinter::Mint(2, 3, 1));
+    (void)m.PickNextTask(3, std::nullopt);
+    rows.push_back({"nest", [env4] { return Attached(env4(), std::make_shared<NestSched>(0)); },
+                    SaveOf(m), 1});
+  }
+  {
+    SchedCore core(MachineSpec::OneSocket8(), SimCosts{});
+    GhostClass g(GhostClass::Mode::kPerCpuFifo, CpuMask::All(8));
+    const int policy = core.RegisterClass(&g);
+    for (int i = 0; i < 3; ++i) {
+      core.CreateTaskOn("g", MakeFnBody([](SimContext&) { return Action::Exit(); }), policy, 0,
+                        CpuMask::All(8));
+    }
+    auto shared = std::make_shared<SchedCore>(MachineSpec::OneSocket8(), SimCosts{});
+    rows.push_back({"ghost", [shared] { return GhostSubject(shared); }, SaveOf(g), 1});
+  }
+  {
+    auto env = env4();
+    CentralSched m(0);
+    m.Attach(env.get());
+    m.TaskNew(Msg(1, 1), SchedulableMinter::Mint(1, 1, 1));
+    m.TaskNew(Msg(2, 2), SchedulableMinter::Mint(2, 2, 1));
+    rows.push_back({"central",
+                    [env4] { return Attached(env4(), std::make_shared<CentralSched>(0)); },
+                    SaveOf(m), 1});
+  }
+  {
+    auto env = env4();
+    PairSched m(0);
+    m.Attach(env.get());
+    m.TaskNew(Msg(1, 0), SchedulableMinter::Mint(1, 0, 1));
+    m.TaskNew(Msg(2, 2), SchedulableMinter::Mint(2, 2, 1));
+    Hint(m, 1, 7);
+    Hint(m, 2, 9);
+    Hint(m, 6, 7);
+    rows.push_back({"pair", [env4] { return Attached(env4(), std::make_shared<PairSched>(0)); },
+                    SaveOf(m), 1, true});
+  }
+  {
+    auto env = std::make_shared<ReplayEnv>(8);
+    LayeredSched m(0, LayeredSched::DefaultThreeTier(8));
+    m.Attach(env.get());
+    m.TaskNew(Msg(1, 0, /*nice=*/-10), SchedulableMinter::Mint(1, 0, 1));
+    m.TaskNew(Msg(2, 4, /*nice=*/0), SchedulableMinter::Mint(2, 4, 1));
+    m.TaskNew(Msg(3, 6, /*nice=*/10), SchedulableMinter::Mint(3, 6, 1));
+    for (int cpu = 0; cpu < 8; ++cpu) {
+      (void)m.PickNextTask(cpu, std::nullopt);
+    }
+    m.TaskTick(0, 1, Milliseconds(2));
+    rows.push_back({"layered",
+                    [] {
+                      return Attached(std::make_shared<ReplayEnv>(8),
+                                      std::make_shared<LayeredSched>(
+                                          0, LayeredSched::DefaultThreeTier(8)));
+                    },
+                    SaveOf(m), 1});
+  }
+  {
+    auto env = std::make_shared<TwoNodeEnv>(8);
+    RustySched m(0);
+    m.Attach(env.get());
+    env->SetNow(Microseconds(100));
+    m.TaskNew(Msg(1, 0), SchedulableMinter::Mint(1, 0, 1));
+    m.TaskNew(Msg(2, 1), SchedulableMinter::Mint(2, 1, 1));
+    m.TaskNew(Msg(3, 4), SchedulableMinter::Mint(3, 4, 1));
+    env->SetNow(Milliseconds(8));
+    (void)m.DomainLoad(0);
+    (void)m.DomainLoad(1);
+    rows.push_back({"rusty",
+                    [] {
+                      return Attached(std::make_shared<TwoNodeEnv>(8),
+                                      std::make_shared<RustySched>(0));
+                    },
+                    SaveOf(m), 1});
+  }
+  {
+    RunningAvg a(Milliseconds(5));
+    a.Set(Microseconds(100), 40);
+    a.Set(Microseconds(700), 90);
+    (void)a.Read(Milliseconds(12));
+    a.Set(Milliseconds(12) + Microseconds(3), 10);
+    ByteWriter w;
+    a.Save(&w);
+    rows.push_back({"ravg",
+                    [] { return RavgSubject(std::make_shared<RunningAvg>(Milliseconds(5))); },
+                    w.Take(), 0});
+  }
+  return rows;
+}
+
+struct CkOracle {
+  const char* name;
+  uint32_t version;
+  const char* payload_hex;
+  const char* restored_hex;  // fresh instance's Save after loading the payload
+  uint64_t fuzz_digest;
+};
+
+// Recorded from the hand-written codecs before the field-list rewrite.
+const CkOracle kCkOracle[] = {
+    {"wfq", 2u, "040000000000000080c3c90100000000000000000000000000000000000000000000000000000000"
+     "03000000000000000100000000000000c029cd02000000000004000000000000c029cd0200000000"
+     "80c3c90100000000000000000000000002000000000000000000000000000000310c000000000000"
+     "00000000000000000000000000000000010000000000000003000000000000000000000000000000"
+     "0e02000000000000000000000000000000000000000000000200000000000000",
+     "040000000000000080c3c90100000000000000000000000000000000000000000000000000000000"
+     "03000000000000000100000000000000c029cd02000000000004000000000000c029cd0200000000"
+     "80c3c90100000000000000000000000002000000000000000000000000000000310c000000000000"
+     "00000000000000000000000000000000010000000000000003000000000000000000000000000000"
+     "0e02000000000000000000000000000000000000000000000200000000000000",
+     0x71da9f2f94a6b387ull},
+    {"wfq_v1", 2u, "0200000000000000002d310100000000c00e16020000000002000000000000000400000000000000"
+     "84c3c901000000003206000000000000045a62020000000000000000000000000900000000000000"
+     "89c3c901000000000e02000000000000095a6202000000000100000000000000",
+     "0400000000000000002d310100000000c00e160200000000002d310100000000002d310100000000"
+     "0200000000000000040000000000000084c3c901000000003206000000000000045a620200000000"
+     "045a6202000000000000000000000000090000000000000089c3c901000000000e02000000000000"
+     "095a620200000000095a6202000000000100000000000000",
+     0xf67de8b6df05236full},
+    {"fifo", 1u, "0300000000000000",
+     "0300000000000000",
+     0xb9fe0914f6215fbeull},
+    {"shinjuku", 1u, "0400000000000000",
+     "0400000000000000",
+     0x9bb0951adf87ee82ull},
+    {"locality", 1u, "03000000000000000300000000000000070000000000000000000000000000000900000000000000"
+     "01000000000000000b00000000000000020000000000000004000000000000000100000000000000"
+     "07000000000000000200000000000000070000000000000003000000000000000900000000000000"
+     "05000000000000000b00000000000000",
+     "03000000000000000300000000000000070000000000000000000000000000000900000000000000"
+     "01000000000000000b00000000000000020000000000000004000000000000000100000000000000"
+     "07000000000000000200000000000000070000000000000003000000000000000900000000000000"
+     "05000000000000000b00000000000000",
+     0x6e0e680502dcec74ull},
+    {"nest", 1u, "04000000000000000000000000000000000000000000000080f0fa020000000000b4c40400000000",
+     "04000000000000000000000000000000000000000000000080f0fa020000000000b4c40400000000",
+     0x2d2d4e39fc35d724ull},
+    {"ghost", 1u, "0400000000000000000000000000000003000000000000000300000000000000",
+     "0400000000000000000000000000000003000000000000000300000000000000",
+     0x02272056cb702701ull},
+    {"central", 1u, "0300000000000000",
+     "0300000000000000",
+     0x3757dd7178f41e67ull},
+    {"pair", 1u, "03000000000000000300000000000000010000000000000007000000000000000200000000000000"
+     "090000000000000006000000000000000700000000000000",
+     "03000000000000000300000000000000010000000000000007000000000000000200000000000000"
+     "090000000000000006000000000000000700000000000000",
+     0xb2b7e69d24e63d0full},
+    {"layered", 1u, "0300000000000000001027000000000000409c000000000000007102000000000400000000000000",
+     "0300000000000000001027000000000000409c000000000000007102000000000400000000000000",
+     0x49f4962bdb205dedull},
+    {"rusty", 1u, "04000000000000000200000000000000404b4c000000000000127a0000000000eb03000000000000"
+     "0000366e010000000008000000000000404b4c000000000000127a0000000000f501000000000000"
+     "00001bb7000000000004000000000000",
+     "04000000000000000200000000000000404b4c000000000000127a0000000000eb03000000000000"
+     "0000366e010000000008000000000000404b4c000000000000127a0000000000f501000000000000"
+     "00001bb7000000000004000000000000",
+     0x63084325e4047d5aull},
+    {"ravg", 0u, "8096980000000000b826b700000000004100000000000000b0b3be0a000000000a00000000000000",
+     "8096980000000000b826b700000000004100000000000000b0b3be0a000000000a00000000000000",
+     0x80cd683092e78a5aull},
+};
+
+constexpr size_t kMutantsPerRow = 1000;
+
+// A u64 word in [2^16, 2^24] is a legal pid, and a pid-indexed table (WFQ
+// entities, pair cookies) grows to the largest pid a payload names — up to
+// ~800 MB for WFQ at the 2^24 bound. To keep each fuzz iteration small, rows
+// with such tables redraw a mutant that plants a word in that band the source
+// payload did not have at the same offset. The bound itself is pinned by the
+// pid rows of the rejection table.
+bool PlantsMidSizedWord(const std::vector<uint8_t>& mutant, const std::vector<uint8_t>& source) {
+  auto word = [](const std::vector<uint8_t>& b, size_t i) {
+    uint64_t v = 0;
+    for (size_t k = 0; k < 8; ++k) {
+      v |= static_cast<uint64_t>(b[i + k]) << (8 * k);
+    }
+    return v;
+  };
+  for (size_t i = 0; i + 8 <= mutant.size(); i += 8) {
+    const uint64_t v = word(mutant, i);
+    if (v >= (uint64_t{1} << 16) && v <= (uint64_t{1} << 24) &&
+        (i + 8 > source.size() || word(source, i) != v)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Seeded mutant of rows[r]'s payload: one to three stacked byte flips,
+// truncations, extensions and splices (with any row's payload).
+std::vector<uint8_t> Mutant(const std::vector<CkRow>& rows, size_t r, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> b = rows[r].payload;
+  const uint64_t n = 1 + rng.NextBelow(3);
+  for (uint64_t k = 0; k < n; ++k) {
+    switch (rng.NextBelow(4)) {
+      case 0:
+        if (!b.empty()) {
+          b[rng.NextBelow(b.size())] ^= static_cast<uint8_t>(1 + rng.NextBelow(255));
+        }
+        break;
+      case 1:
+        b.resize(rng.NextBelow(b.size() + 1));
+        break;
+      case 2:
+        for (uint64_t extra = 1 + rng.NextBelow(16); extra > 0; --extra) {
+          b.push_back(static_cast<uint8_t>(rng.Next()));
+        }
+        break;
+      default: {
+        const std::vector<uint8_t>& other = rows[rng.NextBelow(rows.size())].payload;
+        b.resize(rng.NextBelow(b.size() + 1));
+        b.insert(b.end(), other.begin() + rng.NextBelow(other.size() + 1), other.end());
+        break;
+      }
+    }
+  }
+  return b;
+}
+
+// The fixed mutation corpus of row r: kMutantsPerRow mutants with their seeds.
+std::vector<std::pair<uint64_t, std::vector<uint8_t>>> Corpus(const std::vector<CkRow>& rows,
+                                                              size_t r) {
+  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> out;
+  for (uint64_t seed = (uint64_t{r} << 32) + 1; out.size() < kMutantsPerRow; ++seed) {
+    std::vector<uint8_t> m = Mutant(rows, r, seed);
+    if (rows[r].pid_tables && PlantsMidSizedWord(m, rows[r].payload)) {
+      continue;
+    }
+    out.emplace_back(seed, std::move(m));
+  }
+  return out;
+}
+
+uint64_t Fnv(uint64_t h, const std::vector<uint8_t>& bytes) {
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+const CkOracle* OracleFor(const std::string& name) {
+  for (const CkOracle& o : kCkOracle) {
+    if (name == o.name) {
+      return &o;
+    }
+  }
+  return nullptr;
+}
+
+TEST(CheckpointOracle, PayloadsVersionsAndFuzzDigestsArePinned) {
+  const std::vector<CkRow> rows = CkRows();
+  std::string table;  // paste-ready literals, printed on any mismatch
+  bool all_match = true;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const CkRow& row = rows[r];
+    CkSubject s = row.fresh();
+    const uint32_t version = s.version();
+    EXPECT_TRUE(s.Load(row.load_version, row.payload)) << row.name;
+    const std::vector<uint8_t> restored = s.Save();
+    // Queue membership and tokens never travel in a checkpoint: every
+    // restored task is parked until the runtime re-injects it.
+    for (int cpu = 0; cpu < s.ncpus; ++cpu) {
+      EXPECT_FALSE(s.module->PickNextTask(cpu, std::nullopt).has_value()) << row.name;
+    }
+    uint64_t digest = 14695981039346656037ull;
+    for (const auto& [seed, mutant] : Corpus(rows, r)) {
+      CkSubject m = row.fresh();
+      const bool ok = m.Load(row.load_version, mutant);
+      digest = Fnv(digest, {static_cast<uint8_t>(ok)});
+      if (ok) {
+        const std::vector<uint8_t> saved = m.Save();
+        digest = Fnv(digest, {static_cast<uint8_t>(saved.size()),
+                              static_cast<uint8_t>(saved.size() >> 8)});
+        digest = Fnv(digest, saved);
+      }
+    }
+    char line[64];
+    std::snprintf(line, sizeof(line), "%uu, ", version);
+    table += "    {\"" + row.name + "\", " + line + "\"" + Hex(row.payload) + "\",\n     \"" +
+             Hex(restored) + "\",\n     ";
+    std::snprintf(line, sizeof(line), "0x%016llxull},\n",
+                  static_cast<unsigned long long>(digest));
+    table += line;
+
+    const CkOracle* o = OracleFor(row.name);
+    ASSERT_NE(o, nullptr) << row.name;
+    const bool match = version == o->version && Hex(row.payload) == o->payload_hex &&
+                       Hex(restored) == o->restored_hex && digest == o->fuzz_digest;
+    EXPECT_TRUE(match) << row.name << " drifted from its recorded literals";
+    all_match = all_match && match;
+  }
+  if (!all_match) {
+    std::printf("Recorded oracle table:\n%s", table.c_str());
+  }
+}
+
+// A refused load must leave the instance exactly as a fresh attached one: the
+// same Save bytes, and (Enoki policies) still able to take a task and hand
+// its token back.
+void ExpectFresh(CkSubject& s, const CkRow& row, const std::string& where) {
+  EXPECT_EQ(Hex(s.Save()), Hex(row.fresh().Save())) << "stale state after refusal: " << where;
+  if (s.module != nullptr) {
+    s.module->TaskNew(Msg(99, 0), SchedulableMinter::Mint(99, 0, 1));
+    EXPECT_TRUE(s.module->TaskDeparted(Msg(99, 0)).has_value())
+        << "unusable after refusal: " << where;
+  }
+}
+
+const CkRow& RowNamed(const std::vector<CkRow>& rows, const std::string& name) {
+  for (const CkRow& row : rows) {
+    if (row.name == name) {
+      return row;
+    }
+  }
+  ADD_FAILURE() << "no row " << name;
+  return rows.front();
+}
+
+TEST(CheckpointFresh, EveryTruncatedPrefixIsRefusedAndLeavesTheModuleFresh) {
+  for (const CkRow& row : CkRows()) {
+    const std::string fresh = Hex(row.fresh().Save());
+    size_t stale = 0;
+    for (size_t len = 0; len < row.payload.size(); ++len) {
+      CkSubject s = row.fresh();
+      const std::vector<uint8_t> prefix(row.payload.begin(), row.payload.begin() + len);
+      EXPECT_FALSE(s.Load(row.load_version, prefix)) << row.name << " accepted " << len << " bytes";
+      stale += Hex(s.Save()) != fresh ? 1 : 0;
+    }
+    EXPECT_EQ(stale, 0u) << row.name << ": " << stale << " of " << row.payload.size()
+                         << " refused prefixes left non-fresh state";
+  }
+}
+
+// Every specific bound, one row each: refused (and fresh afterwards) just
+// past the bound, accepted at it.
+struct CkBoundRow {
+  const char* row;
+  const char* why;
+  bool accept;
+  uint32_t version;
+  std::vector<uint64_t> words;  // the payload, one u64 per word
+  bool use_oracle = false;      // load the row's oracle payload instead
+};
+
+std::vector<uint64_t> Repeat(std::vector<uint64_t> head, size_t n, std::vector<uint64_t> unit,
+                             std::vector<uint64_t> tail = {}) {
+  for (size_t i = 0; i < n; ++i) {
+    head.insert(head.end(), unit.begin(), unit.end());
+  }
+  head.insert(head.end(), tail.begin(), tail.end());
+  return head;
+}
+
+TEST(CheckpointBounds, EachRejectionIsItsOwnRow) {
+  constexpr uint64_t kId = uint64_t{1} << 24;
+  const uint64_t w0 = NiceToWeight(0);
+  const std::vector<CkBoundRow> table = {
+      {"wfq", "future version", false, 3, {}, true},
+      {"wfq", "zero cpus", false, 2, {0, 0}},
+      {"wfq", "more than 4096 cpus", false, 2, Repeat({4097}, 4097, {0}, {0})},
+      {"wfq", "4096 cpus", true, 2, Repeat({4096}, 4096, {0}, {0})},
+      {"wfq", "pid 0", false, 2, {1, 0, 1, 0, 1, w0, 0, 0, 0}},
+      {"wfq", "pid past 2^24", false, 2, {1, 0, 1, kId + 1, 1, w0, 0, 0, 0}},
+      {"wfq", "weight 0", false, 2, {1, 0, 1, 5, 1, 0, 0, 0, 0}},
+      {"wfq", "entity count past the payload", false, 2, {1, 0, 5, 5, 1, w0, 0, 0, 0}},
+      {"wfq_v1", "v1 entity carries no slice_start", true, 1, {1, 0, 1, 5, 1, w0, 0, 0}},
+      {"fifo", "future version", false, 2, {}, true},
+      {"fifo", "empty payload", false, 1, {}},
+      {"shinjuku", "future version", false, 2, {}, true},
+      {"shinjuku", "seq 0", false, 1, {0}},
+      {"shinjuku", "empty payload", false, 1, {}},
+      {"locality", "future version", false, 2, {}, true},
+      {"locality", "pid 0", false, 1, {0, 0, 1, 0, 3}},
+      {"locality", "pid past 2^24", false, 1, {0, 0, 1, kId + 1, 3}},
+      {"locality", "pid 2^24", true, 1, {0, 0, 1, kId, 3}},
+      {"locality", "group count past 2^24", false, 1, {0, kId + 1}},
+      {"locality", "pid count past 2^24", false, 1, {0, 0, kId + 1}},
+      {"nest", "future version", false, 2, {}, true},
+      {"nest", "zero cpus", false, 1, {0}},
+      {"nest", "more than 4096 cpus", false, 1, Repeat({4097}, 4097, {0})},
+      {"nest", "4096 cpus", true, 1, Repeat({4096}, 4096, {0})},
+      {"ghost", "future version", false, 2, {}, true},
+      {"ghost", "seq 0", false, 1, {0, 0, 0, 0}},
+      {"ghost", "rr cursor past 4096", false, 1, {5, 2, 9, 4097}},
+      {"ghost", "rr cursor 4096", true, 1, {5, 2, 9, 4096}},
+      {"central", "future version", false, 2, {}, true},
+      {"central", "seq 0", false, 1, {0}},
+      {"central", "empty payload", false, 1, {}},
+      {"pair", "future version", false, 2, {}, true},
+      {"pair", "seq 0", false, 1, {0, 0}},
+      {"pair", "pid 0", false, 1, {3, 1, 0, 7}},
+      {"pair", "pid past 2^24", false, 1, {3, 1, kId + 1, 7}},
+      {"pair", "cookie count past 2^24", false, 1, {3, kId + 1}},
+      {"pair", "a million cookies in a short payload", false, 1, {3, 1000000}},
+      {"layered", "future version", false, 2, {}, true},
+      {"layered", "layer-count mismatch", false, 1, {2, 0, 0, 1}},
+      {"layered", "seq 0", false, 1, {3, 0, 0, 0, 0}},
+      {"rusty", "future version", false, 2, {}, true},
+      {"rusty", "seq 0", false, 1, {0, 1, 0, 0, 0, 0, 0}},
+      {"rusty", "zero domains", false, 1, {1, 0}},
+      {"rusty", "more than 64 domains", false, 1, Repeat({1, 65}, 65, {0, 0, 0, 0, 0})},
+      {"rusty", "64 domains", true, 1, Repeat({1, 64}, 64, {0, 0, 0, 0, 0})},
+      {"rusty", "inverted ravg clock", false, 1, {1, 2, 0, 100, 7, 8, 9, 1000, 500, 0, 0, 0}},
+      {"ravg", "inverted clock", false, 0, {1000, 500, 7, 8, 9}},
+  };
+  const std::vector<CkRow> rows = CkRows();
+  for (const CkBoundRow& b : table) {
+    const CkRow& row = RowNamed(rows, b.row);
+    ByteWriter w;
+    for (uint64_t v : b.words) {
+      w.U64(v);
+    }
+    const std::vector<uint8_t> payload = b.use_oracle ? row.payload : w.Take();
+    const std::string where = std::string(b.row) + ": " + b.why;
+    CkSubject s = row.fresh();
+    ASSERT_EQ(s.Load(b.version, payload), b.accept) << where;
+    if (!b.accept) {
+      ExpectFresh(s, row, where);
+    }
+  }
+}
+
+TEST(CheckpointFuzz, MutantsAreRefusedFreshOrAcceptedAsAFixedPoint) {
+  const std::vector<CkRow> rows = CkRows();
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const CkRow& row = rows[r];
+    size_t accepted = 0;
+    for (const auto& [seed, mutant] : Corpus(rows, r)) {
+      // Replay one case with Mutant(CkRows(), r, seed).
+      const std::string where = row.name + " seed=" + std::to_string(seed);
+      CkSubject s = row.fresh();
+      if (!s.Load(row.load_version, mutant)) {
+        ExpectFresh(s, row, where);
+        continue;
+      }
+      ++accepted;
+      const std::vector<uint8_t> once = s.Save();
+      CkSubject again = row.fresh();
+      ASSERT_TRUE(again.Load(s.version(), once)) << "own Save refused: " << where;
+      ASSERT_EQ(Hex(again.Save()), Hex(once)) << "Save -> Load -> Save moved: " << where;
+    }
+    EXPECT_GT(accepted, 0u) << row.name << ": the corpus never reached an accepting load";
+  }
 }
 
 }  // namespace
