@@ -11,12 +11,20 @@
 // ordering. Capacity is fixed at construction; producers observe overruns
 // (Push returns false), mirroring the paper's "if the buffer overruns, events
 // may be dropped".
+//
+// Slot storage is allocated uninitialised: an element is constructed when it
+// is pushed and destroyed when it is popped, so building a large ring (the
+// 2^17-entry record ring, hint queues) costs one allocation and no writes,
+// and its pages fault in only as the ring is written.
 
 #ifndef SRC_BASE_RING_BUFFER_H_
 #define SRC_BASE_RING_BUFFER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <optional>
 #include <vector>
 
@@ -51,9 +59,18 @@ class RingBuffer {
   // with a compile-time size should use CheckedCapacity<N> (or the
   // ForCapacity<N> factory) so a non-power-of-two constant fails to compile
   // instead of masking indices wrong at runtime.
-  explicit RingBuffer(size_t capacity) : slots_(capacity), mask_(capacity - 1) {
+  explicit RingBuffer(size_t capacity) : mask_(capacity - 1) {
     ENOKI_CHECK_MSG(capacity > 0 && (capacity & (capacity - 1)) == 0,
                     "RingBuffer capacity must be a power of two");
+    slots_ = std::make_unique_for_overwrite<Slot[]>(capacity);
+  }
+
+  // Only the owner may destroy the ring, with both sides quiescent.
+  ~RingBuffer() {
+    const size_t head = head_.load(std::memory_order_acquire);
+    for (size_t i = tail_.load(std::memory_order_relaxed); i != head; ++i) {
+      std::destroy_at(At(i));
+    }
   }
 
   // Compile-time capacity validation: CheckedCapacity<48>() is a build
@@ -78,11 +95,11 @@ class RingBuffer {
   bool Push(T value) {
     const size_t head = head_.load(std::memory_order_relaxed);
     const size_t tail = tail_.load(std::memory_order_acquire);
-    if (head - tail >= slots_.size()) {
+    if (head - tail > mask_) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    slots_[head & mask_] = std::move(value);
+    ::new (slots_[head & mask_].bytes) T(std::move(value));
     head_.store(head + 1, std::memory_order_release);
     return true;
   }
@@ -94,16 +111,38 @@ class RingBuffer {
     if (tail == head) {
       return std::nullopt;
     }
-    T value = std::move(slots_[tail & mask_]);
+    T* slot = At(tail);
+    std::optional<T> value(std::move(*slot));
+    std::destroy_at(slot);
     tail_.store(tail + 1, std::memory_order_release);
     return value;
+  }
+
+  // Consumer side, in bulk: appends every element present to `out` in FIFO
+  // order, reading head and publishing tail once, and returns the count.
+  // Grows `out` at most once, geometrically, so repeated drains into a kept
+  // vector stay amortised O(1) per element.
+  size_t PopAll(std::vector<T>* out) {
+    const size_t tail = tail_.load(std::memory_order_relaxed);
+    const size_t head = head_.load(std::memory_order_acquire);
+    const size_t need = out->size() + (head - tail);
+    if (need > out->capacity()) {
+      out->reserve(std::max(need, 2 * out->capacity()));
+    }
+    for (size_t i = tail; i != head; ++i) {
+      T* slot = At(i);
+      out->push_back(std::move(*slot));
+      std::destroy_at(slot);
+    }
+    tail_.store(head, std::memory_order_release);
+    return head - tail;
   }
 
   size_t size() const {
     return head_.load(std::memory_order_acquire) - tail_.load(std::memory_order_acquire);
   }
   bool empty() const { return size() == 0; }
-  size_t capacity() const { return slots_.size(); }
+  size_t capacity() const { return mask_ + 1; }
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
   // Smallest power of two >= n (>= 1), for layers that accept arbitrary
@@ -117,7 +156,19 @@ class RingBuffer {
   }
 
  private:
-  std::vector<T> slots_;
+  // Raw storage for one element. Allocated "for overwrite" (default-
+  // initialised): the slot array is never written before its first Push.
+  struct Slot {
+    alignas(T) unsigned char bytes[sizeof(T)];
+  };
+
+  // The element in slot `index & mask_`; live only between its Push and its
+  // Pop.
+  T* At(size_t index) {
+    return std::launder(reinterpret_cast<T*>(slots_[index & mask_].bytes));
+  }
+
+  std::unique_ptr<Slot[]> slots_;
   const size_t mask_;
   std::atomic<size_t> head_{0};
   std::atomic<size_t> tail_{0};

@@ -108,14 +108,7 @@ void Recorder::OnLockRelease(uint64_t lock_id) {
   Append(e);
 }
 
-size_t Recorder::Drain() {
-  size_t n = 0;
-  while (auto e = ring_.Pop()) {
-    log_.push_back(*e);
-    ++n;
-  }
-  return n;
-}
+size_t Recorder::Drain() { return ring_.PopAll(&log_); }
 
 std::vector<RecordEntry> Recorder::TakeLog() {
   Drain();

@@ -5,9 +5,9 @@
 // (timing wheel + slab pool) and, by convention, one NUMA-node group of the
 // simulated machine (see MachineSpec::ShardSpec). Shards execute epochs in
 // parallel on up to T host threads; cross-shard interactions (wakeup on a
-// remote node, steal, IPI-like pulses) go through bounded per-shard SPSC
-// mailboxes and are committed between epochs by a single deterministic merge
-// rule. The headline property is determinism-by-construction:
+// remote node, steal, IPI-like pulses) go through bounded per-shard outboxes
+// and are committed between epochs by a single deterministic merge rule. The
+// headline property is determinism-by-construction:
 //
 //   ENOKI_SHARD_THREADS=1..T produces byte-identical runs.
 //
@@ -64,7 +64,6 @@
 
 #include "src/base/check.h"
 #include "src/base/profile.h"
-#include "src/base/ring_buffer.h"
 #include "src/base/time.h"
 #include "src/simkernel/event_loop.h"
 
@@ -81,8 +80,8 @@ namespace enoki {
 //         NARROW (w /= 2) │      HOLD          WIDEN (w *= 2)
 //
 //  1. NARROW when committed cross-shard messages per epoch approach the
-//     bounded outbox capacity (≥ slots/4): halve the window (clamped to
-//     `floor`) so one epoch's traffic cannot overflow a mailbox — overflow
+//     per-epoch outbox bound (≥ slots/4): halve the window (clamped to
+//     `floor`) so one epoch's traffic cannot overflow an outbox — overflow
 //     is a checked error, so pressure must be relieved before the cliff.
 //  2. HOLD when idle-leap epochs dominate the window (≥ half): the engine is
 //     leaping over idle spans, so window width is already irrelevant and
@@ -166,10 +165,10 @@ class ShardedEventLoop {
     // (default 1). Clamped to [1, nshards]. Thread count never affects
     // simulation output, only wall-clock.
     int threads = 0;
-    // Per-shard outbox capacity (messages per epoch per shard). Power of
-    // two; overflow is a checked error, not a drop — dropping would make
-    // output depend on timing.
-    size_t mailbox_slots = RingBuffer<int>::CheckedCapacity<4096>();
+    // Cross-shard messages one shard may send per epoch, and the base of the
+    // controller's NARROW threshold. Exceeding it is a checked error, not a
+    // drop — dropping would make output depend on timing.
+    size_t mailbox_slots = 4096;
     // Floor the epoch controller may narrow the window to. 0 = epoch_ns: the
     // window never narrows. (The ceiling is the smallest latency passed to
     // RegisterCrossLatency; with none registered the window never widens.)
@@ -183,7 +182,7 @@ class ShardedEventLoop {
     threads_ = ResolveThreads(opts.threads, opts.nshards);
     shards_.reserve(static_cast<size_t>(opts.nshards));
     for (int i = 0; i < opts.nshards; ++i) {
-      shards_.push_back(std::make_unique<Shard>(opts.mailbox_slots));
+      shards_.push_back(std::make_unique<Shard>());
     }
     // Workers own a static shard partition (worker j runs shards with
     // index % threads == j+1; the calling thread runs index % threads == 0).
@@ -255,7 +254,7 @@ class ShardedEventLoop {
   // correctness argument for running shards in parallel. Same-shard posts
   // have no floor and schedule directly.
   //
-  // Consecutive sends with the same deliver time share one mailbox entry,
+  // Consecutive sends with the same deliver time share one outbox header,
   // expanded at commit (prof batched_msgs counts the riders); the committed
   // order is the per-message one either way (see CommitMailboxes).
   void PostCross(int src, int dst, Duration latency, std::function<void()> fn) {
@@ -273,18 +272,16 @@ class ShardedEventLoop {
     ENOKI_CHECK_MSG(s.subs.size() < opts_.mailbox_slots,
                     "shard outbox overflow (bounded mailbox)");
     s.subs.push_back(CrossSub{dst, std::move(fn)});
-    // A message with the same deliver time as the open batch rides it — its
+    // A message with the same deliver time as the last batch rides it — its
     // seq is the next in the batch's contiguous run by construction (out_seq
     // increments once per send, and the batch has absorbed every send since
     // it opened).
-    if (s.open.count > 0 && s.open.deliver_at == deliver_at) {
-      ++s.open.count;
+    if (!s.outbox.empty() && s.outbox.back().deliver_at == deliver_at) {
+      ++s.outbox.back().count;
       return;
     }
-    if (s.open.count > 0) {
-      ENOKI_CHECK_MSG(s.outbox.Push(s.open), "shard outbox overflow (bounded mailbox)");
-    }
-    s.open = CrossMsg{deliver_at, src, seq, static_cast<uint32_t>(s.subs.size() - 1), 1};
+    s.outbox.push_back(
+        CrossMsg{deliver_at, src, seq, static_cast<uint32_t>(s.subs.size() - 1), 1});
   }
 
   // Runs all events with time <= deadline; on return now() == deadline.
@@ -378,9 +375,9 @@ class ShardedEventLoop {
     std::function<void()> fn;
   };
 
-  // Batch header travelling through the SPSC outbox: `count` sub-messages
-  // sharing one (deliver_at, src), with contiguous seqs starting at
-  // first_seq and payloads at subs[sub_base .. sub_base+count).
+  // Batch header in a shard's outbox: `count` sub-messages sharing one
+  // (deliver_at, src), with contiguous seqs starting at first_seq and
+  // payloads at subs[sub_base .. sub_base+count).
   struct CrossMsg {
     Time deliver_at = 0;
     int src = 0;
@@ -390,14 +387,14 @@ class ShardedEventLoop {
   };
 
   struct Shard {
-    explicit Shard(size_t mailbox_slots) : outbox(mailbox_slots) {}
     EventLoop loop;
-    RingBuffer<CrossMsg> outbox;  // batch headers; producer: shard thread
-    // (dst, fn) payloads for this epoch's batches. Written by the shard's
-    // epoch thread, read and cleared by the barrier thread at commit — the
-    // epoch barrier's acquire/release pair orders both directions.
+    // This epoch's batch headers, in send order, and their (dst, fn)
+    // payloads. Written by the shard's epoch thread, read and cleared by the
+    // barrier thread at commit — the epoch barrier's acquire/release pair
+    // orders both directions. Every header owns at least one sub, so the
+    // subs.size() < mailbox_slots check in PostCross bounds both.
+    std::vector<CrossMsg> outbox;
     std::vector<CrossSub> subs;
-    CrossMsg open;  // open (unpushed) batch; count == 0 means none
     uint64_t out_seq = 0;
   };
 
@@ -447,7 +444,7 @@ class ShardedEventLoop {
     RunOwnedShards(/*worker=*/0, target);
     {
       // Workers' release increments of done_workers_ pair with this acquire
-      // loop: once observed, all their shard mutations and outbox pushes
+      // loop: once observed, all their shard mutations and outbox writes
       // happen-before the merge below.
       ProfTimer wait_timer(&prof_.barrier_ns);
       while (done_workers_.load(std::memory_order_acquire) < threads_ - 1) {
@@ -509,15 +506,8 @@ class ShardedEventLoop {
     ProfTimer commit_timer(&prof_.commit_ns);
     scratch_.clear();
     for (auto& sh : shards_) {
-      while (auto m = sh->outbox.Pop()) {
-        scratch_.push_back(*m);
-      }
-      // The still-open batch never went through the ring; the epoch barrier
-      // ordered the shard thread's writes, so it is taken directly.
-      if (sh->open.count > 0) {
-        scratch_.push_back(sh->open);
-        sh->open.count = 0;
-      }
+      scratch_.insert(scratch_.end(), sh->outbox.begin(), sh->outbox.end());
+      sh->outbox.clear();
     }
     if (scratch_.empty()) {
       return 0;

@@ -169,7 +169,7 @@ class MultitenantSim {
     o.nshards = cfg.nshards;
     o.epoch_ns = cfg.epoch_ns;
     o.threads = cfg.shard_threads;
-    o.mailbox_slots = RingBuffer<int>::CheckedCapacity<65536>();
+    o.mailbox_slots = 65536;
     if (cfg.adaptive_epochs) {
       o.min_epoch_ns = std::max<Duration>(cfg.epoch_ns / 4, 1);
     }

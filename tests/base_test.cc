@@ -325,6 +325,95 @@ TEST(RingBuffer, MoveOnlyElements) {
   EXPECT_EQ(**v, 42);
 }
 
+// Element that counts its constructions and destructions, so tests can see
+// exactly which slots of a ring hold a live object.
+struct Counted {
+  static inline int64_t constructed = 0;
+  static inline int64_t destroyed = 0;
+  static void Reset() { constructed = destroyed = 0; }
+  static int64_t live() { return constructed - destroyed; }
+
+  explicit Counted(int v) : value(v) { ++constructed; }
+  Counted(const Counted& o) : value(o.value) { ++constructed; }
+  Counted(Counted&& o) noexcept : value(o.value) { ++constructed; }
+  Counted& operator=(const Counted&) = default;
+  Counted& operator=(Counted&&) = default;
+  ~Counted() { ++destroyed; }
+
+  int value;
+};
+
+TEST(RingBufferLifetime, BuildingConstructsNothing) {
+  Counted::Reset();
+  {
+    RingBuffer<Counted> rb(1024);
+    EXPECT_EQ(Counted::constructed, 0);
+  }
+  EXPECT_EQ(Counted::constructed, 0);
+  EXPECT_EQ(Counted::destroyed, 0);
+}
+
+TEST(RingBufferLifetime, PushPopWrapOverrunAndTeardownBalance) {
+  Counted::Reset();
+  {
+    RingBuffer<Counted> rb(4);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(rb.Push(Counted(i)));
+    }
+    EXPECT_EQ(Counted::live(), 3);
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_EQ(rb.Pop()->value, i);
+    }
+    EXPECT_EQ(Counted::live(), 1);
+    // Wraps past the end of the slot array; the last two are overruns.
+    int accepted = 0;
+    for (int i = 3; i < 8; ++i) {
+      accepted += rb.Push(Counted(i)) ? 1 : 0;
+    }
+    EXPECT_EQ(accepted, 3);
+    EXPECT_EQ(rb.dropped(), 2u);
+    EXPECT_EQ(Counted::live(), 4) << "a dropped element must not stay alive";
+    EXPECT_EQ(rb.Pop()->value, 2);
+    EXPECT_EQ(rb.Pop()->value, 3);
+    EXPECT_EQ(Counted::live(), 2);
+  }
+  // Teardown destroys the two elements still in the ring, and only those.
+  EXPECT_EQ(Counted::live(), 0);
+  EXPECT_GT(Counted::constructed, 0);
+}
+
+TEST(RingBufferLifetime, PopAllKeepsFifoAcrossWrap) {
+  Counted::Reset();
+  {
+    RingBuffer<Counted> rb(8);
+    for (int i = 0; i < 6; ++i) {
+      rb.Push(Counted(i));
+    }
+    for (int i = 0; i < 5; ++i) {
+      rb.Pop();
+    }
+    // Eight elements at ring indices 5..12: the run wraps the slot array.
+    for (int i = 6; i < 13; ++i) {
+      ASSERT_TRUE(rb.Push(Counted(i)));
+    }
+    std::vector<Counted> out;
+    out.emplace_back(-1);
+    EXPECT_EQ(rb.PopAll(&out), 8u);
+    ASSERT_EQ(out.size(), 9u);
+    EXPECT_EQ(out[0].value, -1) << "PopAll appends";
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(out[static_cast<size_t>(i) + 1].value, 5 + i);
+    }
+    EXPECT_TRUE(rb.empty());
+    EXPECT_EQ(rb.dropped(), 0u);
+    EXPECT_EQ(Counted::live(), 9) << "the ring keeps nothing it handed out";
+    EXPECT_EQ(rb.PopAll(&out), 0u);
+    EXPECT_TRUE(rb.Push(Counted(13)));
+    EXPECT_EQ(rb.Pop()->value, 13);
+  }
+  EXPECT_EQ(Counted::live(), 0);
+}
+
 // ---- CpuMask ----
 
 TEST(CpuMask, SetTestClear) {

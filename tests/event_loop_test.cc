@@ -724,6 +724,38 @@ TEST(ShardedDeterminism, RejectsLatencyBelowEpoch) {
   EXPECT_DEATH(engine.PostCross(0, 1, 4'999, [] {}), "lookahead");
 }
 
+// mailbox_slots bounds the cross-shard messages one shard may send in one
+// epoch. Exceeding it is a checked error, never a drop (a drop would make
+// the run depend on timing). The bound is per epoch: the commit empties the
+// outbox, so the next epoch may send as many again.
+TEST(ShardedDeterminism, OutboxBoundIsPerEpochAndChecked) {
+  ShardedEventLoop::Options opts;
+  opts.nshards = 2;
+  opts.epoch_ns = 5'000;
+  opts.threads = 1;
+  opts.mailbox_slots = 8;
+  ShardedEventLoop engine(opts);
+  int delivered = 0;
+  // Sends `n` messages from one shard-0 event. Alternating deliver times
+  // make every send open a new batch header, so headers and payloads both
+  // reach the bound.
+  auto post_in_one_epoch = [&](size_t n) {
+    EventLoop& src = engine.shard(0);
+    src.ScheduleAt(src.now() + 1'000, [&engine, &delivered, n] {
+      for (size_t i = 0; i < n; ++i) {
+        engine.PostCross(0, 1, 5'000 + (i % 2), [&delivered] { ++delivered; });
+      }
+    });
+    engine.RunUntilIdle();
+  };
+  post_in_one_epoch(opts.mailbox_slots);
+  EXPECT_EQ(delivered, 8);
+  post_in_one_epoch(opts.mailbox_slots);
+  EXPECT_EQ(delivered, 16);
+  EXPECT_EQ(engine.cross_messages(), 16u);
+  EXPECT_DEATH(post_in_one_epoch(opts.mailbox_slots + 1), "shard outbox overflow");
+}
+
 // Behaviour oracle for the sharded engine: four small runs whose
 // fingerprint, event count and epoch-controller outcome are pinned as
 // literals. A refactor of the epoch loop, the controller or the mailbox
