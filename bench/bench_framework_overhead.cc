@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the framework's host-side hot
 // paths and the ablation knobs called out in DESIGN.md: the event loop, the
-// SPSC hint/record ring, token minting, the end-to-end per-invocation cost
+// SPSC hint ring, token minting, the end-to-end per-invocation cost
 // of the Enoki layer (ablating SimCosts::enoki_call_ns), and the
 // simulator's events-per-second rate.
 

@@ -1,32 +1,29 @@
 // Single-producer / single-consumer ring buffer.
 //
-// This is the shared-memory channel primitive underpinning two Enoki
-// mechanisms from the paper:
-//  - userspace <-> kernel scheduler hint queues (section 3.3), and
-//  - the record channel drained by the userspace record task (section 3.4).
+// This is the shared-memory channel primitive underpinning the Enoki
+// userspace <-> kernel scheduler hint queues (section 3.3).
 //
 // Within the simulator the producer and consumer run on the same host thread,
-// but the replay engine and the record writer exercise it from real threads,
-// so the implementation is a proper lock-free SPSC queue with acquire/release
-// ordering. Capacity is fixed at construction; producers observe overruns
-// (Push returns false), mirroring the paper's "if the buffer overruns, events
-// may be dropped".
+// but the implementation is a proper lock-free SPSC queue with
+// acquire/release ordering, like the shared-memory queue it models (the SPSC
+// tests drive it from two real threads). Capacity is fixed at construction;
+// producers observe overruns (Push returns false), mirroring the paper's "if
+// the buffer overruns, events may be dropped".
 //
 // Slot storage is allocated uninitialised: an element is constructed when it
-// is pushed and destroyed when it is popped, so building a large ring (the
-// 2^17-entry record ring, hint queues) costs one allocation and no writes,
-// and its pages fault in only as the ring is written.
+// is pushed and destroyed when it is popped, so building a large queue costs
+// one allocation and no writes, and its pages fault in only as the ring is
+// written.
 
 #ifndef SRC_BASE_RING_BUFFER_H_
 #define SRC_BASE_RING_BUFFER_H_
 
-#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <memory>
 #include <new>
 #include <optional>
-#include <vector>
 
 #include "src/base/check.h"
 
@@ -118,26 +115,6 @@ class RingBuffer {
     return value;
   }
 
-  // Consumer side, in bulk: appends every element present to `out` in FIFO
-  // order, reading head and publishing tail once, and returns the count.
-  // Grows `out` at most once, geometrically, so repeated drains into a kept
-  // vector stay amortised O(1) per element.
-  size_t PopAll(std::vector<T>* out) {
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    const size_t head = head_.load(std::memory_order_acquire);
-    const size_t need = out->size() + (head - tail);
-    if (need > out->capacity()) {
-      out->reserve(std::max(need, 2 * out->capacity()));
-    }
-    for (size_t i = tail; i != head; ++i) {
-      T* slot = At(i);
-      out->push_back(std::move(*slot));
-      std::destroy_at(slot);
-    }
-    tail_.store(head, std::memory_order_release);
-    return head - tail;
-  }
-
   size_t size() const {
     return head_.load(std::memory_order_acquire) - tail_.load(std::memory_order_acquire);
   }
@@ -146,14 +123,8 @@ class RingBuffer {
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
   // Smallest power of two >= n (>= 1), for layers that accept arbitrary
-  // requested sizes (hint queues, the record ring).
-  static size_t RoundUpPow2(size_t n) {
-    size_t p = 1;
-    while (p < n) {
-      p <<= 1;
-    }
-    return p;
-  }
+  // requested sizes (hint queues).
+  static size_t RoundUpPow2(size_t n) { return std::bit_ceil(n); }
 
  private:
   // Raw storage for one element. Allocated "for overwrite" (default-

@@ -47,9 +47,15 @@ namespace enoki {
 // Append-only little-endian serializer for checkpoint payloads.
 class ByteWriter {
  public:
+  // Writes into `buf` from its start, keeping its capacity: a recycled
+  // payload buffer makes a steady-state save allocation-free.
+  explicit ByteWriter(std::vector<uint8_t> buf = {}) : buf_(std::move(buf)) { buf_.clear(); }
+
   void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    const size_t at = buf_.size();
+    buf_.resize(at + 8);
+    for (size_t i = 0; i < 8; ++i) {
+      buf_[at + i] = static_cast<uint8_t>(v >> (8 * i));
     }
   }
 
@@ -303,9 +309,11 @@ class CheckpointStore {
   uint64_t pushed() const { return pushed_; }
   uint64_t evicted() const { return evicted_; }
 
-  // Appends a new newest generation, evicting the oldest at capacity.
+  // Appends a new newest generation, evicting the oldest at capacity. The
+  // evicted payload buffer is kept for the next save (TakeSpareBytes).
   void Push(Checkpoint ck) {
     if (ring_.size() == capacity_) {
+      spare_bytes_ = std::move(ring_.front().bytes);
       ring_.pop_front();
       ++evicted_;
     }
@@ -330,9 +338,14 @@ class CheckpointStore {
 
   void Clear() { ring_.clear(); }
 
+  // The last evicted generation's payload buffer (empty if none), for a
+  // ByteWriter to reuse.
+  std::vector<uint8_t> TakeSpareBytes() { return std::exchange(spare_bytes_, {}); }
+
  private:
   size_t capacity_;
   std::deque<Checkpoint> ring_;
+  std::vector<uint8_t> spare_bytes_;
   uint64_t pushed_ = 0;
   uint64_t evicted_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "src/enoki/record.h"
 
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
 
@@ -76,15 +77,18 @@ std::vector<RecordEntry> FlightRecorder::Tail(size_t max_entries) const {
   return out;
 }
 
-Recorder::Recorder(size_t ring_capacity)
-    : ring_(RingBuffer<RecordEntry>::RoundUpPow2(ring_capacity)) {}
+Recorder::Recorder(size_t capacity) : capacity_(std::bit_ceil(capacity)) {}
 
-void Recorder::Append(RecordEntry entry) {
-  entry.seq = next_seq_++;
-  entry.time = time_;
-  entry.kthread = GetCurrentKthread();
-  ++appended_;
-  ring_.Push(entry);
+void Recorder::Append(const RecordEntry& entry) {
+  const uint64_t seq = next_seq_++;
+  if (pending_.size() == capacity_) {
+    ++dropped_;
+    return;
+  }
+  RecordEntry& e = pending_.emplace_back(entry);
+  e.seq = seq;
+  e.time = time_;
+  e.kthread = GetCurrentKthread();
 }
 
 void Recorder::OnLockCreate(uint64_t lock_id) {
@@ -108,7 +112,12 @@ void Recorder::OnLockRelease(uint64_t lock_id) {
   Append(e);
 }
 
-size_t Recorder::Drain() { return ring_.PopAll(&log_); }
+size_t Recorder::Drain() {
+  const size_t n = pending_.size();
+  log_.insert(log_.end(), pending_.begin(), pending_.end());
+  pending_.clear();
+  return n;
+}
 
 std::vector<RecordEntry> Recorder::TakeLog() {
   Drain();

@@ -3,10 +3,13 @@
 // In record mode the runtime appends one RecordEntry per call into the
 // scheduler (with its arguments and response) and the lock shims append one
 // entry per lock create/acquire/release, tagged with the kernel thread id.
-// Entries flow through a ring buffer shared with a userspace record task,
-// which drains them to the log asynchronously — writing cannot happen in
-// scheduler context (interrupts disabled), exactly as in the paper. Buffer
-// overruns drop events and are counted.
+// Entries collect in a bounded buffer that a userspace record task drains to
+// the log out of context — writing cannot happen in scheduler context
+// (interrupts disabled), exactly as in the paper. Overruns drop entries and
+// are counted. A drain empties the buffer in place, so its memory is what was
+// recorded since the last drain, not its bound. Appends and drains all run on
+// the simulation's thread (runtime callbacks, lock hooks, the sharded merge
+// observer at commit, the record task), so the buffer needs no atomics.
 
 #ifndef SRC_ENOKI_RECORD_H_
 #define SRC_ENOKI_RECORD_H_
@@ -16,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "src/base/ring_buffer.h"
 #include "src/base/time.h"
 #include "src/enoki/lock.h"
 
@@ -84,7 +86,7 @@ struct RecordEntry {
 // Always-on flight recorder: a small fixed ring of the most recent record
 // entries, appended to by the runtime even when no Recorder is attached, so
 // a CrashReport can carry the module's last calls without the record
-// system's ring+drain machinery (and without its per-call simulated cost —
+// system's buffer+drain machinery (and without its per-call simulated cost —
 // a fixed-size in-kernel ring is free at this model's granularity).
 class FlightRecorder {
  public:
@@ -110,18 +112,21 @@ class FlightRecorder {
 
 class Recorder : public LockHooks {
  public:
-  explicit Recorder(size_t ring_capacity);
+  // Holds at most `capacity` rounded up to a power of two pending entries.
+  explicit Recorder(size_t capacity);
 
-  // Producer side (scheduler context): stamps seq/kthread, pushes to ring.
-  void Append(RecordEntry entry);
+  // Producer side (scheduler context): stamps seq/time/kthread on a copy in
+  // the pending buffer, or drops the entry when the buffer is full.
+  void Append(const RecordEntry& entry);
 
   // LockHooks: lock events become record entries.
   void OnLockCreate(uint64_t lock_id) override;
   void OnLockAcquire(uint64_t lock_id) override;
   void OnLockRelease(uint64_t lock_id) override;
 
-  // Consumer side (the userspace record task): moves ring contents to the
-  // log. Returns the number of entries drained.
+  // Consumer side (the userspace record task): moves the pending entries to
+  // the log and empties the buffer, keeping its capacity. Returns the number
+  // of entries drained.
   size_t Drain();
 
   // The recorder's notion of "now", set by the runtime before each call so
@@ -130,8 +135,8 @@ class Recorder : public LockHooks {
 
   const std::vector<RecordEntry>& log() const { return log_; }
   std::vector<RecordEntry> TakeLog();
-  uint64_t dropped() const { return ring_.dropped(); }
-  uint64_t appended() const { return appended_; }
+  uint64_t dropped() const { return dropped_; }
+  uint64_t appended() const { return next_seq_ - 1; }
 
   // Text serialization, one entry per line: the record file the replay
   // utility consumes.
@@ -139,10 +144,11 @@ class Recorder : public LockHooks {
   static bool LoadFromFile(const std::string& path, std::vector<RecordEntry>* out);
 
  private:
-  RingBuffer<RecordEntry> ring_;
+  size_t capacity_;
+  std::vector<RecordEntry> pending_;
   std::vector<RecordEntry> log_;
-  uint64_t next_seq_ = 1;
-  uint64_t appended_ = 0;
+  uint64_t next_seq_ = 1;  // a dropped entry still uses its seq
+  uint64_t dropped_ = 0;
   Time time_ = 0;
 };
 

@@ -50,7 +50,7 @@ class ReplayEngine::LockOrderHooks : public LockHooks {
         return state->next >= seq->size() || (*seq)[state->next] == me;
       });
       if (!ok) {
-        ++timeouts_;  // trace incomplete (e.g. record ring overrun); proceed
+        ++timeouts_;  // trace incomplete (e.g. record buffer overrun); proceed
         if (state->next < seq->size()) {
           ++state->next;  // give up this turn so others can make progress
         }

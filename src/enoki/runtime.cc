@@ -349,7 +349,7 @@ void EnokiRuntime::ArmCheckpointCadence(uint64_t epoch) {
 }
 
 bool EnokiRuntime::TakeCheckpoint(EnokiSched* module, Checkpoint* out) {
-  ByteWriter w;
+  ByteWriter w(checkpoints_.TakeSpareBytes());
   bool ok = false;
   last_save_threw_ = false;
   try {

@@ -88,7 +88,7 @@ struct ProbationConfig {
 
 // Everything known about a containment event: why the watchdog tripped, the
 // module's counters at that moment, callback-latency aggregates, the cost of
-// the fallback, and the last calls into the module (from the Recorder ring).
+// the fallback, and the last calls into the module (from the Recorder log).
 struct CrashReport {
   TripReason reason = TripReason::kNone;
   std::string detail;

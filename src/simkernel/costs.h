@@ -52,7 +52,7 @@ struct SimCosts {
   Duration enoki_call_ns = 125;
 
   // Additional per-invocation cost when the Enoki record system is active
-  // (serializing the call message into the record ring buffer).
+  // (serializing the call message into the record buffer).
   Duration enoki_record_ns = 3'000;
 
   // ghOSt: producing a message into an agent channel.

@@ -382,38 +382,6 @@ TEST(RingBufferLifetime, PushPopWrapOverrunAndTeardownBalance) {
   EXPECT_GT(Counted::constructed, 0);
 }
 
-TEST(RingBufferLifetime, PopAllKeepsFifoAcrossWrap) {
-  Counted::Reset();
-  {
-    RingBuffer<Counted> rb(8);
-    for (int i = 0; i < 6; ++i) {
-      rb.Push(Counted(i));
-    }
-    for (int i = 0; i < 5; ++i) {
-      rb.Pop();
-    }
-    // Eight elements at ring indices 5..12: the run wraps the slot array.
-    for (int i = 6; i < 13; ++i) {
-      ASSERT_TRUE(rb.Push(Counted(i)));
-    }
-    std::vector<Counted> out;
-    out.emplace_back(-1);
-    EXPECT_EQ(rb.PopAll(&out), 8u);
-    ASSERT_EQ(out.size(), 9u);
-    EXPECT_EQ(out[0].value, -1) << "PopAll appends";
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_EQ(out[static_cast<size_t>(i) + 1].value, 5 + i);
-    }
-    EXPECT_TRUE(rb.empty());
-    EXPECT_EQ(rb.dropped(), 0u);
-    EXPECT_EQ(Counted::live(), 9) << "the ring keeps nothing it handed out";
-    EXPECT_EQ(rb.PopAll(&out), 0u);
-    EXPECT_TRUE(rb.Push(Counted(13)));
-    EXPECT_EQ(rb.Pop()->value, 13);
-  }
-  EXPECT_EQ(Counted::live(), 0);
-}
-
 // ---- CpuMask ----
 
 TEST(CpuMask, SetTestClear) {

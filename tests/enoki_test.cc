@@ -4,13 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/enoki/api.h"
 #include "src/enoki/replay.h"
 #include "src/enoki/runtime.h"
@@ -601,6 +607,223 @@ TEST(Record, DrainTaskEmptiesRing) {
   }
   EXPECT_EQ(recorder.Drain(), 100u);
   EXPECT_EQ(recorder.log().size(), 100u);
+}
+
+// An entry whose pid names the order it was offered in, so a log can be
+// checked for order and for which appends it kept.
+RecordEntry Numbered(uint64_t n) {
+  RecordEntry e;
+  e.type = RecordType::kTaskTick;
+  e.pid = n;
+  return e;
+}
+
+TEST(Record, PendingBoundIsCapacityRoundedUpAndDropsUseASeq) {
+  Recorder recorder(5);  // rounds up to 8 pending entries
+  for (uint64_t n = 1; n <= 9; ++n) {
+    recorder.Append(Numbered(n));
+  }
+  EXPECT_EQ(recorder.appended(), 9u);
+  EXPECT_EQ(recorder.dropped(), 1u) << "the 9th append overruns an 8-entry buffer";
+  EXPECT_EQ(recorder.Drain(), 8u);
+  ASSERT_EQ(recorder.log().size(), 8u);
+  for (uint64_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(recorder.log()[i].pid, i + 1);
+    EXPECT_EQ(recorder.log()[i].seq, i + 1);
+  }
+  // The drain made room again, and the dropped 9th entry spent seq 9.
+  recorder.Append(Numbered(10));
+  EXPECT_EQ(recorder.dropped(), 1u);
+  EXPECT_EQ(recorder.Drain(), 1u);
+  ASSERT_EQ(recorder.log().size(), 9u);
+  EXPECT_EQ(recorder.log().back().pid, 10u);
+  EXPECT_EQ(recorder.log().back().seq, 10u);
+}
+
+TEST(Record, DrainCyclesConcatenateInOrder) {
+  Recorder recorder(8);
+  // Three cycles; the second offers 11 entries to an 8-entry buffer.
+  const uint64_t cycle_sizes[] = {3, 11, 5};
+  uint64_t offered = 0;
+  SetCurrentKthread(3);
+  for (uint64_t size : cycle_sizes) {
+    for (uint64_t k = 0; k < size; ++k) {
+      ++offered;
+      recorder.SetTime(static_cast<Time>(1000 * offered));
+      recorder.Append(Numbered(offered));
+    }
+    recorder.Drain();
+  }
+  SetCurrentKthread(0);
+  EXPECT_EQ(recorder.appended(), offered);
+  EXPECT_EQ(recorder.dropped(), 3u);
+  // Kept: 1..3, 4..11, 15..19 (12..14 overran the second cycle).
+  std::vector<uint64_t> want;
+  for (uint64_t n = 1; n <= 19; ++n) {
+    if (n < 12 || n > 14) {
+      want.push_back(n);
+    }
+  }
+  ASSERT_EQ(recorder.log().size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    const RecordEntry& e = recorder.log()[i];
+    EXPECT_EQ(e.pid, want[i]);
+    EXPECT_EQ(e.seq, want[i]) << "seq is gap-free apart from drops";
+    EXPECT_EQ(e.time, static_cast<Time>(1000 * want[i]));
+    EXPECT_EQ(e.kthread, 3);
+    EXPECT_EQ(e.type, RecordType::kTaskTick);
+  }
+}
+
+TEST(Record, TakeLogIsDrainThenMove) {
+  Recorder taken(16);
+  Recorder drained(16);
+  for (uint64_t n = 1; n <= 6; ++n) {
+    taken.Append(Numbered(n));
+    drained.Append(Numbered(n));
+    if (n == 3) {
+      taken.Drain();
+      drained.Drain();
+    }
+  }
+  const std::vector<RecordEntry> log = taken.TakeLog();
+  drained.Drain();
+  ASSERT_EQ(log.size(), drained.log().size());
+  for (size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].seq, drained.log()[i].seq);
+    EXPECT_EQ(log[i].pid, drained.log()[i].pid);
+  }
+  EXPECT_TRUE(taken.log().empty());
+  EXPECT_EQ(taken.Drain(), 0u) << "TakeLog leaves nothing pending";
+  taken.Append(Numbered(7));
+  EXPECT_EQ(taken.Drain(), 1u);
+  EXPECT_EQ(taken.log().front().seq, 7u);
+}
+
+// ---- Record file fuzzing ----
+
+void ExpectSameEntry(const RecordEntry& got, const RecordEntry& want, const std::string& where) {
+  EXPECT_EQ(got.seq, want.seq) << where;
+  EXPECT_EQ(got.time, want.time) << where;
+  EXPECT_EQ(got.kthread, want.kthread) << where;
+  EXPECT_EQ(got.type, want.type) << where;
+  EXPECT_EQ(got.pid, want.pid) << where;
+  EXPECT_EQ(got.cpu, want.cpu) << where;
+  EXPECT_EQ(got.runtime, want.runtime) << where;
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(got.arg[i], want.arg[i]) << where << " arg[" << i << "]";
+  }
+  EXPECT_EQ(got.resp0, want.resp0) << where;
+  EXPECT_EQ(got.resp1, want.resp1) << where;
+  EXPECT_EQ(got.has_resp, want.has_resp) << where;
+  EXPECT_EQ(got.flag, want.flag) << where;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ostringstream out;
+  out << std::ifstream(path, std::ios::binary).rdbuf();
+  return out.str();
+}
+
+// Seeded mutant of a record file: one to four stacked byte flips,
+// truncations and digit insertions. *first_damage is the lowest offset any
+// mutation touched; every byte before it is the source's.
+std::string RecordMutant(const std::string& source, uint64_t seed, size_t* first_damage) {
+  Rng rng(seed);
+  std::string b = source;
+  *first_damage = b.size();
+  const uint64_t n = 1 + rng.NextBelow(4);
+  for (uint64_t k = 0; k < n; ++k) {
+    size_t at = 0;
+    switch (rng.NextBelow(3)) {
+      case 0:
+        if (b.empty()) {
+          continue;
+        }
+        at = rng.NextBelow(b.size());
+        b[at] = static_cast<char>(b[at] ^ static_cast<char>(1 + rng.NextBelow(255)));
+        break;
+      case 1:
+        at = rng.NextBelow(b.size() + 1);
+        b.resize(at);
+        break;
+      default:
+        at = rng.NextBelow(b.size() + 1);
+        b.insert(at, 1 + rng.NextBelow(20), static_cast<char>('0' + rng.NextBelow(10)));
+        break;
+    }
+    *first_damage = std::min(*first_damage, at);
+  }
+  return b;
+}
+
+TEST(RecordFuzz, MutatedTraceFilesLoadWithoutHarm) {
+  // One entry of every RecordType, with extreme and distinct field values.
+  Recorder recorder(64);
+  const auto last = static_cast<unsigned>(RecordType::kCheckpointRestore);
+  for (unsigned t = static_cast<unsigned>(RecordType::kTaskNew); t <= last; ++t) {
+    RecordEntry e;
+    e.type = static_cast<RecordType>(t);
+    e.pid = t % 3 == 0 ? UINT64_MAX : t * 7;
+    e.cpu = t % 4 == 0 ? -1 : static_cast<int32_t>(t);
+    e.runtime = uint64_t{1} << (t % 64);
+    e.arg[0] = t;
+    e.arg[1] = UINT64_MAX - t;
+    e.arg[2] = t * 1'000'003;
+    e.arg[3] = t % 2;
+    e.resp0 = t * 11;
+    e.resp1 = t % 5 == 0 ? UINT64_MAX : 0;
+    e.has_resp = t % 2 == 0;
+    e.flag = t % 3 == 1;
+    SetCurrentKthread(static_cast<int>(t % 6) - 1);
+    recorder.SetTime(static_cast<Time>(t) * 1'000'000'007ull);
+    recorder.Append(e);
+  }
+  SetCurrentKthread(0);
+  recorder.Drain();
+  const std::vector<RecordEntry>& want = recorder.log();
+  ASSERT_EQ(want.size(), last);
+
+  const std::string path = ::testing::TempDir() + "/record_fuzz_trace.txt";
+  ASSERT_TRUE(recorder.SaveToFile(path));
+  const std::string source = ReadFileBytes(path);
+  // Line i ends at line_end[i]; an entry whose whole line precedes the first
+  // damaged byte must decode unchanged.
+  std::vector<size_t> line_end;
+  for (size_t i = 0; i < source.size(); ++i) {
+    if (source[i] == '\n') {
+      line_end.push_back(i);
+    }
+  }
+  ASSERT_EQ(line_end.size(), want.size());
+
+  std::vector<RecordEntry> loaded;
+  ASSERT_TRUE(Recorder::LoadFromFile(path, &loaded));
+  ASSERT_EQ(loaded.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ExpectSameEntry(loaded[i], want[i], std::string("round trip ") + RecordTypeName(want[i].type));
+  }
+
+  const std::string mutant_path = ::testing::TempDir() + "/record_fuzz_mutant.txt";
+  size_t loads_short = 0;
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    size_t first_damage = 0;
+    std::ofstream(mutant_path, std::ios::binary) << RecordMutant(source, seed, &first_damage);
+    const std::string where = "seed=" + std::to_string(seed);
+    loaded.assign(3, RecordEntry{});  // a load replaces, never appends
+    ASSERT_TRUE(Recorder::LoadFromFile(mutant_path, &loaded)) << where;
+    // Each mutation adds at most one token, and four cannot make up the
+    // fifteen that a whole extra entry needs.
+    EXPECT_LE(loaded.size(), want.size()) << where;
+    for (size_t i = 0; i < want.size() && line_end[i] < first_damage; ++i) {
+      ASSERT_LT(i, loaded.size()) << where;
+      ExpectSameEntry(loaded[i], want[i], where + " intact line " + std::to_string(i));
+    }
+    loads_short += loaded.size() < want.size() ? 1 : 0;
+  }
+  EXPECT_GT(loads_short, 0u) << "the corpus never cut a trace short";
+  std::remove(path.c_str());
+  std::remove(mutant_path.c_str());
 }
 
 // ---- Sharded merge recording ----
