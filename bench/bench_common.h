@@ -68,6 +68,10 @@ class BenchJson {
 
   bool enabled() const { return !path_.empty(); }
 
+  // Sets an object written as the array's first element, ahead of the rows.
+  // It must carry no "config"/"metric" fields, so row readers skip it.
+  void Lead(std::string object) { lead_ = std::move(object); }
+
   void Row(const std::string& config, const std::string& metric, double value,
            uint64_t seed = 0) {
     if (enabled()) {
@@ -87,6 +91,9 @@ class BenchJson {
       return;
     }
     std::fprintf(f, "[\n");
+    if (!lead_.empty()) {
+      std::fprintf(f, "  %s%s\n", lead_.c_str(), rows_.empty() ? "" : ",");
+    }
     for (size_t i = 0; i < rows_.size(); ++i) {
       const RowData& r = rows_[i];
       std::fprintf(f,
@@ -101,14 +108,7 @@ class BenchJson {
     written_ = true;
   }
 
- private:
-  struct RowData {
-    std::string config;
-    std::string metric;
-    double value;
-    uint64_t seed;
-  };
-
+  // Escapes quotes and backslashes for a JSON string value.
   static std::string Escaped(const std::string& s) {
     std::string out;
     out.reserve(s.size());
@@ -121,8 +121,17 @@ class BenchJson {
     return out;
   }
 
+ private:
+  struct RowData {
+    std::string config;
+    std::string metric;
+    double value;
+    uint64_t seed;
+  };
+
   std::string bench_;
   std::string path_;
+  std::string lead_;
   std::vector<RowData> rows_;
   bool written_ = false;
 };

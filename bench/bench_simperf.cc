@@ -11,7 +11,9 @@
 //
 // Flags:
 //   --quick                shorter runs (CI perf-smoke)
-//   --json=<path>          machine-readable rows (bench_common.h BenchJson)
+//   --json=<path>          machine-readable rows (bench_common.h BenchJson),
+//                          led by one object of host facts (nproc, compiler,
+//                          build type, CPU model)
 //   --check-against=<path> compare against a baseline BENCH_simperf.json and
 //                          exit nonzero on regression
 //   --max-regress=<frac>   regression tolerance for the check (default 0.25)
@@ -26,7 +28,7 @@
 //                          optimisation round's target, one command away
 //
 // Besides throughput rows, every config emits prof_* subsystem counters
-// (src/base/profile.h): timing-wheel cascades, slab/arena growth, epoch
+// (src/base/profile.h): timing-wheel cascades, slab growth, epoch
 // barrier and controller decisions. Count-type prof rows are deterministic
 // and gated exactly by --check-against; *_ns rows are wall-clock profiling.
 //
@@ -492,6 +494,30 @@ int CheckShardSpeedup(const std::vector<PerfResult>& results, BenchJson* json,
   return failures;
 }
 
+// ---- Host facts -----------------------------------------------------------
+// Wall-clock rows compare only between like hosts. --json stamps these facts
+// as the array's leading object, which carries no "config"/"metric" fields so
+// LoadBaseline skips it as a row; a failed --check-against prints both sides'
+// facts when they differ, so a host change is not read as a regression.
+
+std::string HostFactsJson() {
+  std::string cpu_model = "unknown";
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    const size_t colon = line.find(": ");
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      cpu_model = line.substr(colon + 2);
+      break;
+    }
+  }
+  return "{\"bench\": \"bench_simperf\", \"host\": {\"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) + ", \"compiler\": \"" +
+         BenchJson::Escaped(ENOKI_BENCH_COMPILER) + "\", \"build_type\": \"" +
+         BenchJson::Escaped(ENOKI_BENCH_BUILD_TYPE) + "\", \"cpu_model\": \"" +
+         BenchJson::Escaped(cpu_model) + "\"}}";
+}
+
 // ---- Baseline comparison --------------------------------------------------
 // Parses the flat rows BenchJson writes (one object per line) without a JSON
 // library: good enough because we only ever read files we wrote.
@@ -517,7 +543,10 @@ bool ExtractField(const std::string& line, const char* key, std::string* out) {
   return true;
 }
 
-bool LoadBaseline(const std::string& path, std::vector<BaselineRow>* rows) {
+// Reads the baseline's rows, and its host-facts object into `*host` when it
+// carries one; baselines written before host stamping have none.
+bool LoadBaseline(const std::string& path, std::vector<BaselineRow>* rows,
+                  std::string* host) {
   std::ifstream in(path);
   if (!in) {
     return false;
@@ -527,6 +556,10 @@ bool LoadBaseline(const std::string& path, std::vector<BaselineRow>* rows) {
     BaselineRow row;
     if (!ExtractField(line, "config", &row.config) ||
         !ExtractField(line, "metric", &row.metric)) {
+      const size_t start = line.find("{\"bench\"");
+      if (line.find("\"host\": {") != std::string::npos && start != std::string::npos) {
+        *host = line.substr(start, line.rfind('}') + 1 - start);
+      }
       continue;
     }
     const size_t vpos = line.find("\"value\": ");
@@ -567,7 +600,8 @@ double BaselineValue(const std::vector<BaselineRow>& rows, const std::string& co
 int CheckAgainstBaseline(const std::vector<PerfResult>& results, const std::string& path,
                          double max_regress) {
   std::vector<BaselineRow> baseline;
-  if (!LoadBaseline(path, &baseline)) {
+  std::string baseline_host;
+  if (!LoadBaseline(path, &baseline, &baseline_host)) {
     std::fprintf(stderr, "bench_simperf: cannot read baseline %s\n", path.c_str());
     return 1;
   }
@@ -611,7 +645,7 @@ int CheckAgainstBaseline(const std::vector<PerfResult>& results, const std::stri
     // Subsystem profile counters: count-type prof_* rows are pure functions
     // of the simulation, so they are compared exactly — a drift does not just
     // say "slower", it names the subsystem (wheel cascades, slab growth,
-    // arena chunks, epoch barriers, controller decisions) that regressed.
+    // epoch barriers, controller decisions) that regressed.
     // Wall-clock *_ns rows are host-dependent and skipped.
     for (const auto& [counter, value] : r.counters) {
       if (counter.size() > 3 && counter.compare(counter.size() - 3, 3, "_ns") == 0) {
@@ -672,6 +706,12 @@ int CheckAgainstBaseline(const std::vector<PerfResult>& results, const std::stri
   if (failures == 0) {
     std::printf("baseline check: OK (tolerance %.0f%%, baseline %s)\n", max_regress * 100.0,
                 path.c_str());
+  } else if (const std::string here = HostFactsJson();
+             !baseline_host.empty() && baseline_host != here) {
+    std::fprintf(stderr,
+                 "HOST DIFFERS from the baseline's; wall-clock rows compare across hosts\n"
+                 "  baseline: %s\n  this run: %s\n",
+                 baseline_host.c_str(), here.c_str());
   }
   return failures;
 }
@@ -703,6 +743,7 @@ int Run(int argc, char** argv) {
     g_reps = std::atoi(reps);
   }
   BenchJson json("bench_simperf", argc, argv);
+  json.Lead(HostFactsJson());
 
   std::printf("Simulator hot-path microbenchmark (%s mode)\n", quick ? "quick" : "full");
   std::printf("%-12s %8s %14s %14s %12s %14s\n", "workload", "shrdthr", "events",

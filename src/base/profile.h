@@ -3,8 +3,8 @@
 //
 // The simulator's hot path is deliberately allocation- and syscall-free, so
 // what remains to optimize hides in *cold-ish* paths that fire often enough
-// to matter: timing-wheel cascades, slab and arena growth, cross-shard merge
-// commits, epoch-barrier waits. Two kinds of counters cover them:
+// to matter: timing-wheel cascades, slab growth, cross-shard merge commits,
+// epoch-barrier waits. Two kinds of counters cover them:
 //
 //  - Local counters (WheelProfile, ShardProfile): plain uint64_t structs
 //    owned by single-threaded objects (an EventLoop is touched by exactly
@@ -13,8 +13,8 @@
 //    demand. These are the per-event-frequency counters.
 //  - Global counters (GlobalCounters): relaxed atomics for rare allocation
 //    events raised from deep inside helpers that have no natural owner to
-//    report through (arena chunk growth, event-slab growth). Rare enough
-//    that an atomic add is free.
+//    report through (event-slab growth). Rare enough that an atomic add
+//    is free.
 //
 // Counter semantics split into two classes, and consumers must respect the
 // split:
@@ -78,7 +78,12 @@ struct ShardProfile {
 class GlobalCounters {
  public:
   enum Id : int {
-    kArenaChunks = 0,   // Arena::NewChunk calls
+    // Nothing increments this any more: the bump arena it counted is gone and
+    // the multitenant queues grow as plain vectors. It reads 0, and stays so
+    // that bench_simperf's prof_arena_chunks rows and perfbench's
+    // base.arena_chunks key keep their schema and would show a new
+    // arena-style growth path.
+    kArenaChunks = 0,
     kEventSlabs = 1,    // EventLoop slab-pool growths
     kIdCount = 2,
   };

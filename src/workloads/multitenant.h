@@ -25,21 +25,23 @@
 // epochs); adaptive_epochs widens the epoch controller's range to
 // [epoch_ns / 4, remote_latency].
 //
-// Allocation discipline (arena-per-run): each group's request queue is a
-// fixed-capacity ring drawn from a per-group Arena; steady state performs
-// zero heap allocations — cross-shard closures are sized for std::function's
-// small-object buffer and the loop's slab pools handle events.
+// Allocation discipline: each group's request queue is a ring that holds only
+// the requests in flight. It starts at 16 slots and doubles when full, so its
+// memory follows the peak depth and steady state after the first growth
+// performs zero heap allocations; queue_capacity bounds the depth, not the
+// memory. Cross-shard closures are sized for std::function's small-object
+// buffer and the loop's slab pools handle events.
 
 #ifndef SRC_WORKLOADS_MULTITENANT_H_
 #define SRC_WORKLOADS_MULTITENANT_H_
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "src/base/arena.h"
 #include "src/base/rng.h"
 #include "src/base/stats.h"
 #include "src/sched/cfs.h"
@@ -89,7 +91,10 @@ struct MultitenantConfig {
   double remote_fraction = 0.05;
   Duration remote_latency = Microseconds(25);  // must be >= epoch_ns
 
-  size_t queue_capacity = 1 << 15;  // per-group request ring (bounded)
+  // Most requests one group may hold in flight; exceeding it is a checked
+  // error. The ring grows on demand up to this bound, so a large value
+  // costs no memory until the queue is that deep.
+  size_t queue_capacity = 1 << 15;
   Duration warmup = Milliseconds(20);
   Duration runtime = Milliseconds(200);
   uint64_t seed = 11;
@@ -235,20 +240,14 @@ class MultitenantSim {
 
   // One tenant group = one NUMA node's worth of tenants, workers, and queue.
   struct Group {
-    explicit Group(size_t cap)
-        : ring(ArenaAllocator<Request>(&arena)), wq("mt-grp") {
-      // Warm first so the ring lands in one chunk instead of growing the
-      // arena through doubling chunks on the way up.
-      arena.Warm(cap * sizeof(Request));
-      ring.resize(cap);  // fixed ring: the run's only queue allocation
-    }
+    explicit Group(size_t cap) : capacity(cap), ring(16), wq("mt-grp") {}
     int index = 0;
     int shard = 0;
     SchedCore* core = nullptr;
     int policy = 0;
     int first_cpu = 0;  // group's first CPU in its core's numbering
-    Arena arena{64 * 1024};
-    std::vector<Request, ArenaAllocator<Request>> ring;
+    size_t capacity;            // queue_capacity: the bound on `count`
+    std::vector<Request> ring;  // FIFO ring of `count` requests from `head`
     size_t head = 0;
     size_t count = 0;
     WaitQueue wq;
@@ -268,7 +267,14 @@ class MultitenantSim {
   }
 
   static void Push(Group& g, Request r) {
-    ENOKI_CHECK_MSG(g.count < g.ring.size(), "multitenant group queue overflow");
+    ENOKI_CHECK_MSG(g.count < g.capacity, "multitenant group queue overflow");
+    if (g.count == g.ring.size()) {
+      // Full: unwrap so the oldest request sits at slot 0, then double.
+      std::rotate(g.ring.begin(), g.ring.begin() + static_cast<std::ptrdiff_t>(g.head),
+                  g.ring.end());
+      g.head = 0;
+      g.ring.resize(g.ring.size() * 2);
+    }
     g.ring[(g.head + g.count) % g.ring.size()] = r;
     ++g.count;
   }

@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/base/arena.h"
 #include "src/base/cpumask.h"
 #include "src/base/ring_buffer.h"
 #include "src/base/rng.h"
@@ -509,60 +508,6 @@ TEST(RingBuffer, CheckedCapacityConstructsValidRing) {
   static_assert(RingBuffer<int>::CheckedCapacity<4096>() == 4096);
   // Note: RingBuffer<int>::CheckedCapacity<48>() is (deliberately) a
   // compile error — mailbox sizing mistakes fail at build time.
-}
-
-// ---- Arena ----
-
-TEST(Arena, BumpAllocatesAndAligns) {
-  Arena arena(64);
-  auto* a = static_cast<uint8_t*>(arena.Allocate(3, 1));
-  auto* b = static_cast<uint64_t*>(arena.Allocate(8, 8));
-  EXPECT_NE(a, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 8, 0u);
-  *b = 42;  // must be writable
-  EXPECT_EQ(*b, 42u);
-  EXPECT_GE(arena.bytes_used(), 11u);
-}
-
-TEST(Arena, GrowsAcrossChunksAndResetsToOne) {
-  Arena arena(64);
-  for (int i = 0; i < 100; ++i) {
-    arena.Allocate(32, 8);
-  }
-  EXPECT_GT(arena.chunk_count(), 1u);
-  arena.Reset();
-  EXPECT_EQ(arena.chunk_count(), 1u);
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  // A warmed arena absorbs the same load without growing again... provided
-  // the retained (largest) chunk covers it.
-  const size_t retained = arena.chunk_count();
-  arena.Allocate(32, 8);
-  EXPECT_EQ(arena.chunk_count(), retained);
-}
-
-TEST(Arena, VectorGrowthReusesTrailingAllocation) {
-  Arena arena(1024);
-  std::vector<int, ArenaAllocator<int>> v{ArenaAllocator<int>(&arena)};
-  for (int i = 0; i < 200; ++i) {
-    v.push_back(i);
-  }
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(v[i], i);
-  }
-  // Growth happened entirely inside the arena: no per-element heap churn and
-  // the deallocate-trailing fast path keeps usage near the final capacity.
-  EXPECT_GE(arena.bytes_used(), 200 * sizeof(int));
-}
-
-TEST(Arena, NewConstructsInPlace) {
-  struct Pod {
-    int x;
-    double y;
-  };
-  Arena arena;
-  Pod* p = arena.New<Pod>(Pod{7, 2.5});
-  EXPECT_EQ(p->x, 7);
-  EXPECT_EQ(p->y, 2.5);
 }
 
 }  // namespace

@@ -779,11 +779,34 @@ MultitenantConfig OracleMultitenant(bool adaptive) {
   return cfg;
 }
 
-EngineOutcome RunOracleMultitenant(bool adaptive) {
-  const MultitenantResult r = RunMultitenant(OracleMultitenant(adaptive));
+EngineOutcome MultitenantOutcome(const MultitenantConfig& cfg) {
+  const MultitenantResult r = RunMultitenant(cfg);
   return EngineOutcome{r.fingerprint, r.events, r.epochs, r.widens, r.narrows,
                        r.final_window_ns};
 }
+
+// Overloaded 2-node run for the group request ring: two workers per group
+// against Pareto bursts at 180k req/s, so the queues back up. Traced, the
+// deepest group queue reached 100 requests, the rings grew 16 -> 128 slots and
+// their heads wrapped 32 times across both groups. The pinned outcome was
+// measured on the fixed-size ring the growing one replaced.
+MultitenantConfig OverloadedMultitenant(int threads) {
+  MultitenantConfig cfg;
+  cfg.machine = MachineSpec{4, 2, "2-node mini (2x2)"};
+  cfg.nshards = 2;
+  cfg.shard_threads = threads;
+  cfg.tenants_per_group = 4;
+  cfg.rate_per_tenant = 45'000.0;
+  cfg.arrival = ArrivalDist::kPareto;
+  cfg.workers_per_group = 2;
+  cfg.warmup = Microseconds(200);
+  cfg.runtime = Milliseconds(4);
+  cfg.seed = 3;
+  return cfg;
+}
+
+constexpr uint64_t kOverloadedFingerprint = 0x68e00691a481826dull;
+constexpr uint64_t kOverloadedCompleted = 1391;
 
 TEST(ShardedOracle, PinnedOutcomesTable) {
   struct Row {
@@ -792,14 +815,16 @@ TEST(ShardedOracle, PinnedOutcomesTable) {
     EngineOutcome want;
   };
   const Row rows[] = {
-      {"multitenant_static", [] { return RunOracleMultitenant(false); },
+      {"multitenant_static", [] { return MultitenantOutcome(OracleMultitenant(false)); },
        {0x3c5b711ed2a89061ull, 10075, 210, 0, 0, 20000}},
-      {"multitenant_adaptive", [] { return RunOracleMultitenant(true); },
+      {"multitenant_adaptive", [] { return MultitenantOutcome(OracleMultitenant(true)); },
        {0x8f27a816cbd6d410ull, 10079, 55, 3, 0, 100000}},
       {"cascade_1thread", [] { return RunCascade(1).outcome; },
        {0xeb03d9986b75a2deull, 104, 17, 0, 0, 1000}},
       {"same_instant_burst", [] { return RunSameInstantBurst().outcome; },
        {0x3c17504123a5ec95ull, 18, 4, 0, 0, 1000}},
+      {"multitenant_overloaded", [] { return MultitenantOutcome(OverloadedMultitenant(1)); },
+       {kOverloadedFingerprint, 4640, 210, 0, 0, 20000}},
   };
   for (const Row& row : rows) {
     const EngineOutcome got = row.run();
@@ -810,6 +835,25 @@ TEST(ShardedOracle, PinnedOutcomesTable) {
     EXPECT_EQ(got.narrows, row.want.narrows) << row.name;
     EXPECT_EQ(got.final_window_ns, row.want.final_window_ns) << row.name;
   }
+}
+
+// The group queues grow and wrap on demand; the outcome must not depend on
+// that, nor on how many host threads run the shards.
+TEST(ShardedOracle, OverloadedGroupQueuesKeepOutcome) {
+  for (int threads : {1, 2}) {
+    const MultitenantResult r = RunMultitenant(OverloadedMultitenant(threads));
+    EXPECT_EQ(r.fingerprint, kOverloadedFingerprint) << threads << " threads";
+    EXPECT_EQ(r.completed, kOverloadedCompleted) << threads << " threads";
+  }
+}
+
+// queue_capacity bounds the requests in flight even though nothing is sized
+// to it up front: the same bursts against a 4-request bound are a checked
+// error, never a silent drop.
+TEST(ShardedOracle, GroupQueueBoundIsChecked) {
+  MultitenantConfig cfg = OverloadedMultitenant(1);
+  cfg.queue_capacity = 4;
+  EXPECT_DEATH(RunMultitenant(cfg), "multitenant group queue overflow");
 }
 
 // ---------------------------------------------------------------------------
